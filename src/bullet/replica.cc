@@ -145,41 +145,44 @@ Result<Capability> BulletServer::install_object(std::uint32_t object,
                                                 std::uint64_t random,
                                                 ByteSpan data,
                                                 std::uint64_t message_id) {
+  return await<Result<Capability>>([&](auto done) {
+    install_object_async(object, random, data, message_id,
+                         [done](Result<Capability> cap, ByteSpan) {
+                           done(std::move(cap));
+                         });
+  });
+}
+
+void BulletServer::install_object_async(std::uint32_t object,
+                                        std::uint64_t random, ByteSpan data,
+                                        std::uint64_t message_id,
+                                        CreateCallback done) {
   random &= kMask48;
   if (object == 0 || random == 0) {
-    return Error(ErrorCode::bad_argument, "install needs a slot and a random");
+    done(Error(ErrorCode::bad_argument, "install needs a slot and a random"),
+         ByteSpan());
+    return;
   }
-  const auto mint = [this, object, random] {
-    Capability cap;
-    cap.port = public_port_;
-    cap.object = object;
-    cap.rights = rights::kAll;
-    cap.check = sealer_.seal(rights::kAll, random);
-    return cap;
-  };
   // A matching tombstone means the file was created AND deleted; applying
   // the install would resurrect it. Answer with the capability the create
   // produced (idempotence for the create) and keep the delete's outcome.
-  if (tombstoned(object, random)) return mint();
-
-  Capability cap;
-  {
-    const auto lock = lock_exclusive();
-    if (object < inodes_.size() && !inodes_[object].is_free() &&
-        inodes_[object].random == random) {
-      return mint();  // already applied (retransmit / resync overlap)
-    }
-    BULLET_ASSIGN_OR_RETURN(
-        cap, create_at_locked(data, kInstallPfactor, object, random));
+  if (tombstoned(object, random)) {
+    done(mint(object, random), data);
+    return;
   }
-  ++repl_installs_;
-  if (message_id != 0) {
-    Writer w(Capability::kWireSize);
-    cap.encode(w);
-    dedup_record(message_id, wire::kCreate, std::move(w).take(), object,
-                 random);
-  }
-  return cap;
+  create_async(
+      data, kInstallPfactor,
+      [this, object, random, message_id, done = std::move(done)](
+          Result<Capability> cap, ByteSpan bytes) {
+        if (cap.ok() && message_id != 0) {
+          Writer w(Capability::kWireSize);
+          cap.value().encode(w);
+          dedup_record(message_id, wire::kCreate, std::move(w).take(), object,
+                       random);
+        }
+        done(std::move(cap), bytes);
+      },
+      object, random);
 }
 
 Status BulletServer::erase_object(std::uint32_t object, std::uint64_t random,
@@ -210,30 +213,22 @@ std::uint64_t BulletServer::object_random(std::uint32_t object) const {
   return inodes_[object].random;
 }
 
-Result<BulletServer::ObjectSnapshot> BulletServer::copy_object_bytes(
-    std::uint32_t object) {
-  const auto lock = lock_exclusive();
-  if (object == 0 || object >= inodes_.size() || inodes_[object].is_free()) {
-    return Error(ErrorCode::no_such_object, "object not in use");
-  }
-  ObjectSnapshot snap;
-  snap.random = inodes_[object].random;
-  const auto rnode = ensure_cached(object);
-  if (rnode.ok()) {
-    const ByteSpan data = cache_.data(rnode.value());
-    snap.data.assign(data.begin(), data.end());
-    return snap;
-  }
-  if (rnode.code() != ErrorCode::no_space) return rnode.error();
-  // Arena fully pinned: stage through a private buffer like read_pinned.
-  const Inode& inode = inodes_[object];
-  Bytes buffer(layout_.blocks_for(inode.size_bytes) * layout_.block_size());
-  BULLET_RETURN_IF_ERROR(read_file_from_disk(inode, MutableByteSpan(buffer)));
-  buffer.resize(inode.size_bytes);
-  ++scratch_allocs_;
-  bytes_copied_ += inode.size_bytes;
-  snap.data = std::move(buffer);
-  return snap;
+void BulletServer::read_object_async(std::uint32_t object,
+                                     std::uint64_t random, ReadCallback done) {
+  read_pinned_async(
+      mint(object, random & kMask48, rights::kRead),
+      [this, done = std::move(done)](Result<PinnedFile> file) {
+        if (file.ok()) uncount_read(file.value().data);  // not a client read
+        // Another incarnation at the slot (its seal rejects ours), the
+        // server object, or a foreign shard's absent object: all mean
+        // this file is not here.
+        if (!file.ok() && (file.code() == ErrorCode::bad_capability ||
+                           file.code() == ErrorCode::bad_argument ||
+                           file.code() == ErrorCode::wrong_shard)) {
+          file = Error(ErrorCode::no_such_object, "object not in use");
+        }
+        done(std::move(file));
+      });
 }
 
 wire::ReplManifest BulletServer::replica_manifest() const {
@@ -301,8 +296,8 @@ Result<Bytes> BulletServer::peer_call(Bytes body) {
   return std::move(reply.value()).take_payload();
 }
 
-void BulletServer::replicate_create(std::uint32_t object,
-                                    std::uint64_t message_id) {
+void BulletServer::replicate_create(std::uint32_t object, std::uint64_t random,
+                                    ByteSpan data, std::uint64_t message_id) {
   {
     std::lock_guard lock(repl_mu_);
     if (repl_.peer == nullptr || repl_.role == ReplRole::kSolo ||
@@ -310,15 +305,13 @@ void BulletServer::replicate_create(std::uint32_t object,
       return;  // solo / degraded: resync reconciles later
     }
   }
-  const auto snap = copy_object_bytes(object);
-  if (!snap.ok()) return;  // erased in the meantime; nothing to push
-  Writer w(1 + 4 + 8 + 8 + 1 + 4 + snap.value().data.size());
+  Writer w(1 + 4 + 8 + 8 + 1 + 4 + data.size());
   w.u8(wire::kReplInstall);
   w.u32(object);
-  w.u64(snap.value().random);
+  w.u64(random);
   w.u64(message_id);
   w.u8(static_cast<std::uint8_t>(kInstallPfactor));
-  w.blob(snap.value().data);
+  w.blob(data);
   const auto pushed = peer_call(std::move(w).take());
   if (pushed.ok()) {
     ++repl_pushes_;
@@ -444,13 +437,8 @@ Status BulletServer::resync_body(wire::ReplResyncReport& report) {
     for (const auto& d : theirs.dedups) {
       const auto it = my_dedups.find(d.message_id);
       if (it == my_dedups.end()) {
-        Capability cap;
-        cap.port = public_port_;
-        cap.object = d.object;
-        cap.rights = rights::kAll;
-        cap.check = sealer_.seal(rights::kAll, d.random);
         Writer w(Capability::kWireSize);
-        cap.encode(w);
+        mint(d.object, d.random).encode(w);
         dedup_record(d.message_id, wire::kCreate, std::move(w).take(),
                      d.object, d.random);
       } else if (it->second.first != d.object ||
@@ -518,21 +506,22 @@ Status BulletServer::resync_body(wire::ReplResyncReport& report) {
       tick();
       continue;
     }
-    auto snap = copy_object_bytes(object);
-    if (!snap.ok()) {
-      if (snap.code() == ErrorCode::no_such_object) {
+    const auto file = await<Result<PinnedFile>>(
+        [&](auto done) { read_object_async(object, f.random, done); });
+    if (!file.ok()) {
+      if (file.code() == ErrorCode::no_such_object) {
         tick();
         continue;  // deleted locally while we resynced
       }
-      return snap.error();
+      return file.error();
     }
-    Writer w(1 + 4 + 8 + 8 + 1 + 4 + snap.value().data.size());
+    Writer w(1 + 4 + 8 + 8 + 1 + 4 + file.value().data.size());
     w.u8(wire::kReplInstall);
     w.u32(object);
-    w.u64(snap.value().random);
+    w.u64(f.random);
     w.u64(0);
     w.u8(static_cast<std::uint8_t>(kInstallPfactor));
-    w.blob(snap.value().data);
+    w.blob(file.value().data);
     auto pushed = peer_call(std::move(w).take());
     if (pushed.ok()) {
       ++report.files_pushed;
@@ -562,20 +551,22 @@ Status BulletServer::resync_body(wire::ReplResyncReport& report) {
 
 // --- kReplicate dispatch -------------------------------------------------
 
-rpc::Reply BulletServer::handle_replicate(const rpc::Request& request) {
+void BulletServer::handle_replicate(const rpc::Request& request,
+                                    rpc::Responder respond) {
+  const auto bad = [&] { respond(rpc::Reply::error(ErrorCode::bad_argument)); };
   Reader r(request.body);
   const auto subop = r.u8();
-  if (!subop.ok()) return rpc::Reply::error(ErrorCode::bad_argument);
+  if (!subop.ok()) return bad();
   switch (subop.value()) {
     case wire::kReplPing: {
-      if (!r.done()) return rpc::Reply::error(ErrorCode::bad_argument);
-      return rpc::Reply::success();
+      if (!r.done()) return bad();
+      return respond(rpc::Reply::success());
     }
     case wire::kReplManifest: {
-      if (!r.done()) return rpc::Reply::error(ErrorCode::bad_argument);
+      if (!r.done()) return bad();
       Writer w;
       replica_manifest().encode(w);
-      return rpc::Reply::success(std::move(w).take());
+      return respond(rpc::Reply::success(std::move(w).take()));
     }
     case wire::kReplInstall: {
       const auto object = r.u32();
@@ -585,21 +576,23 @@ rpc::Reply BulletServer::handle_replicate(const rpc::Request& request) {
       const auto data = r.blob();
       if (!object.ok() || !random.ok() || !message_id.ok() || !pfactor.ok() ||
           !data.ok() || !r.done()) {
-        return rpc::Reply::error(ErrorCode::bad_argument);
+        return bad();
       }
-      auto cap = install_object(object.value(), random.value(), data.value(),
-                                message_id.value());
-      if (!cap.ok()) return rpc::Reply::error(cap.code());
-      Writer w(Capability::kWireSize);
-      cap.value().encode(w);
-      return rpc::Reply::success(std::move(w).take());
+      // The disk writes run on the queue; the ack to the peer comes from
+      // the completion.
+      install_object_async(
+          object.value(), random.value(), data.value(), message_id.value(),
+          [respond = std::move(respond)](Result<Capability> cap, ByteSpan) {
+            respond(cap_reply(cap));
+          });
+      return;
     }
     case wire::kReplErase: {
       const auto object = r.u32();
       const auto random = r.u64();
       const auto message_id = r.u64();
       if (!object.ok() || !random.ok() || !message_id.ok() || !r.done()) {
-        return rpc::Reply::error(ErrorCode::bad_argument);
+        return bad();
       }
       const Status st =
           erase_object(object.value(), random.value(), message_id.value());
@@ -608,29 +601,33 @@ rpc::Reply BulletServer::handle_replicate(const rpc::Request& request) {
         // delete must win over any stale copy.
         record_tombstone(object.value(), random.value() & kMask48);
       }
-      return status_reply(st);
+      return respond(status_reply(st));
     }
     case wire::kReplFetch: {
       const auto object = r.u32();
       const auto random = r.u64();
-      if (!object.ok() || !random.ok() || !r.done()) {
-        return rpc::Reply::error(ErrorCode::bad_argument);
-      }
-      auto snap = copy_object_bytes(object.value());
-      if (!snap.ok()) return rpc::Reply::error(snap.code());
-      if (snap.value().random != (random.value() & kMask48)) {
-        return rpc::Reply::error(ErrorCode::no_such_object);
-      }
-      return rpc::Reply::success(std::move(snap.value().data));
+      if (!object.ok() || !random.ok() || !r.done()) return bad();
+      // The file bytes travel borrowed from the pinned cache entry, like a
+      // READ reply's.
+      read_object_async(
+          object.value(), random.value(),
+          [respond = std::move(respond)](Result<PinnedFile> file) {
+            if (!file.ok()) return respond(rpc::Reply::error(file.code()));
+            respond(rpc::Reply::success_borrowed(
+                Bytes{}, file.value().data, std::move(file.value().retainer)));
+          });
+      return;
     }
     case wire::kReplTombClear: {
-      if (!r.done()) return rpc::Reply::error(ErrorCode::bad_argument);
-      std::lock_guard lock(repl_mu_);
-      tombstones_.clear();
-      return rpc::Reply::success();
+      if (!r.done()) return bad();
+      {
+        std::lock_guard lock(repl_mu_);
+        tombstones_.clear();
+      }
+      return respond(rpc::Reply::success());
     }
     default:
-      return rpc::Reply::error(ErrorCode::bad_argument);
+      return bad();
   }
 }
 

@@ -433,253 +433,61 @@ std::uint32_t BulletServer::shard_id() const {
 }
 
 Capability BulletServer::super_capability(std::uint8_t rights) const {
+  return mint(0, super_random_, rights);
+}
+
+Capability BulletServer::mint(std::uint32_t object, std::uint64_t random,
+                              std::uint8_t rights) const {
   Capability cap;
   cap.port = public_port_;
-  cap.object = 0;
+  cap.object = object;
   cap.rights = rights;
-  cap.check = sealer_.seal(rights, super_random_);
+  cap.check = sealer_.seal(rights, random);
   return cap;
 }
 
 Result<Capability> BulletServer::create(ByteSpan data, int pfactor) {
-  const auto lock = lock_exclusive();
-  return create_locked(data, pfactor);
-}
-
-Result<Capability> BulletServer::create_locked(ByteSpan data, int pfactor) {
-  return create_at_locked(data, pfactor, /*index=*/0, /*random=*/0);
-}
-
-Result<Capability> BulletServer::create_at_locked(ByteSpan data, int pfactor,
-                                                  std::uint32_t want_index,
-                                                  std::uint64_t want_random) {
-  if (pfactor < 0 || pfactor > disk_->replica_count()) {
-    return Error(ErrorCode::bad_argument, "pfactor exceeds replica count");
-  }
-  if (data.size() > std::numeric_limits<std::uint32_t>::max()) {
-    return Error(ErrorCode::too_large, "file exceeds 4 GB");
-  }
-  const auto size = static_cast<std::uint32_t>(data.size());
-
-  std::uint32_t picked = 0;
-  if (want_index != 0) {
-    // Replication install: the peer already assigned the slot.
-    if (want_index >= inodes_.size()) {
-      return Error(ErrorCode::bad_argument, "install slot out of range");
-    }
-    if (!inodes_[want_index].is_free() ||
-        std::find(free_inodes_.begin(), free_inodes_.end(), want_index) ==
-            free_inodes_.end()) {
-      // Occupied, or zeroed with cleanup deferred behind an async fill —
-      // either way the slot is not installable right now.
-      return Error(ErrorCode::conflict, "install slot occupied");
-    }
-  } else {
-    BULLET_ASSIGN_OR_RETURN(picked, pick_free_slot_locked());
-  }
-
-  // Disk extent, first fit; compaction is the fallback when the space
-  // exists but no hole is large enough.
-  const std::uint64_t blocks = layout_.blocks_for(size);
-  std::uint64_t first_block = layout_.data_start_block();
-  if (blocks > 0) {
-    std::optional<std::uint64_t> got = disk_free_.allocate(blocks);
-    if (!got.has_value() && disk_free_.total_free() >= blocks) {
-      BULLET_ASSIGN_OR_RETURN(const std::uint64_t moved, compact_disk_locked());
-      (void)moved;
-      got = disk_free_.allocate(blocks);
-    }
-    if (!got.has_value()) {
-      return Error(ErrorCode::no_space, "disk full");
-    }
-    first_block = *got;
-  }
-
-  // Cache space ("creating files is much the same as reading files that
-  // were not in the cache").
-  const std::uint32_t index = want_index != 0 ? want_index : picked;
-  std::vector<std::uint32_t> evicted;
-  auto rnode_result = cache_.insert(index, size, &evicted);
-  drop_evicted(evicted);
-  RnodeIndex rnode = 0;
-  Bytes bypass;
-  if (rnode_result.ok()) {
-    rnode = rnode_result.value();
-    if (size > 0) {
-      std::memcpy(cache_.mutable_data(rnode).data(), data.data(), size);
-    }
-  } else if (rnode_result.code() == ErrorCode::no_space) {
-    // Concurrent readers can pin the entire arena; creating must keep
-    // working. Stage the padded image in a scratch buffer, write it from
-    // there, and leave the file uncached (cache_index 0).
-    bypass.resize(blocks * layout_.block_size());
-    if (size > 0) std::memcpy(bypass.data(), data.data(), size);
-    ++scratch_allocs_;
-    bytes_copied_ += size;
-  } else {
-    if (blocks > 0) {
-      const Status st = disk_free_.release(first_block, blocks);
-      assert(st.ok());
-      (void)st;
-    }
-    return rnode_result.error();
-  }
-  unlink_free_slot_locked(index);
-
-  // The RAM inode.
-  Inode& inode = inodes_[index];
-  inode.random = want_random != 0 ? (want_random & kMask48)
-                                  : (rng_.next() & kMask48);
-  if (inode.random == 0) inode.random = 1;
-  inode.cache_index = rnode;
-  inode.first_block = static_cast<std::uint32_t>(first_block);
-  inode.size_bytes = size;
-
-  // Durability: the client waits for `pfactor` replicas; the rest complete
-  // behind the reply. The padded arena allocation is already whole zeroed
-  // blocks, so the device writes straight from the cache — no tail
-  // staging buffer.
-  const ByteSpan stored = rnode != 0 ? cache_.padded_data(rnode) : bypass;
-  int written = 0;
-  if (pfactor > 0) {
-    auto data_written = write_file_data(first_block, stored, pfactor);
-    Result<int> inode_written =
-        data_written.ok() ? write_inode_block(index, pfactor)
-                          : Result<int>(data_written.error());
-    written = !data_written.ok() || !inode_written.ok()
-                  ? 0
-                  : std::min(data_written.value(), inode_written.value());
-    if (written < pfactor) {
-      // "If the P-FACTOR is N, the file will be stored on N disks before
-      // the client can resume" — anything less means the create failed.
-      // Undo so the inode table stays consistent (a zeroed inode is
-      // written back to whatever replicas remain).
-      if (rnode != 0) cache_.remove(rnode);
-      inodes_[index] = Inode{};
-      (void)write_inode_block(index, disk_->replica_count());
-      free_inodes_.push_back(index);
-      if (blocks > 0) {
-        const Status st = disk_free_.release(first_block, blocks);
-        assert(st.ok());
-        (void)st;
-      }
-      if (!data_written.ok()) return data_written.error();
-      if (!inode_written.ok()) return inode_written.error();
-      return Error(ErrorCode::io_error,
-                   "only " + std::to_string(written) + " of " +
-                       std::to_string(pfactor) + " replicas written");
-    }
-  }
-  {
-    sim::BackgroundSection bg(config_.clock);
-    const Status data_st =
-        write_file_data_remaining(first_block, stored, written);
-    const Status inode_st = write_inode_block_remaining(index, written);
-    if (!data_st.ok() || !inode_st.ok()) {
-      BULLET_LOG(warn, kLog) << "background replication incomplete";
-    }
-  }
-
-  ++creates_;
-  ++live_files_;
-  bytes_stored_ += size;
-
-  Capability cap;
-  cap.port = public_port_;
-  cap.object = index;
-  cap.rights = rights::kAll;
-  cap.check = sealer_.seal(rights::kAll, inode.random);
-  return cap;
+  return await<Result<Capability>>([&](auto done) {
+    create_async(data, pfactor, [done](Result<Capability> cap, ByteSpan) {
+      done(std::move(cap));
+    });
+  });
 }
 
 Result<ByteSpan> BulletServer::read(const Capability& cap) {
-  const auto lock = lock_exclusive();
-  BULLET_ASSIGN_OR_RETURN(const std::uint32_t index, verify(cap, rights::kRead));
-  if (index == 0) {
-    return Error(ErrorCode::bad_argument, "server object holds no data");
-  }
-  BULLET_ASSIGN_OR_RETURN(const RnodeIndex rnode, ensure_cached(index));
-  cache_.touch(rnode);
-  ++reads_;
-  bytes_served_ += inodes_[index].size_bytes;
-  return cache_.data(rnode);
+  return cache_view(cap, read_pinned(cap));
 }
 
 Result<BulletServer::PinnedFile> BulletServer::read_pinned(
     const Capability& cap) {
+  return await<Result<PinnedFile>>(
+      [&](auto done) { read_pinned_async(cap, done); });
+}
+
+Result<ByteSpan> BulletServer::cache_view(const Capability& cap,
+                                          Result<PinnedFile> file) const {
+  if (!file.ok()) return file.error();
+  const ByteSpan data = file.value().data;
+  if (data.empty()) return data;
+  // The pin drops with `file`; the bytes stay put until a later operation
+  // evicts or erases the entry. Only a cache-backed read has such a view:
+  // one served from a private buffer (arena pinned full) dies right here.
+  const auto lock = lock_shared();
+  const RnodeIndex rnode = inodes_[cap.object].cache_index;
+  if (rnode != 0 && cache_.contains(rnode)) {
+    const ByteSpan cached = cache_.data(rnode);
+    const auto at = reinterpret_cast<std::uintptr_t>(data.data());
+    const auto base = reinterpret_cast<std::uintptr_t>(cached.data());
+    if (at >= base && at + data.size() <= base + cached.size()) return data;
+  }
+  return Error(ErrorCode::no_space, "cache arena fully pinned");
+}
+
+void BulletServer::read_pinned_async(const Capability& cap, ReadCallback done) {
   // Fast path, shared lock only: capability check against the inode table,
   // then one cache lookup that touches LRU and pins in a single
   // acquisition. Immutability does the rest — nothing to copy, nothing to
   // coordinate with other readers.
-  {
-    const auto lock = lock_shared();
-    BULLET_ASSIGN_OR_RETURN(const std::uint32_t index,
-                            verify(cap, rights::kRead));
-    if (index == 0) {
-      return Error(ErrorCode::bad_argument, "server object holds no data");
-    }
-    const RnodeIndex hint = inodes_[index].cache_index;
-    if (hint != 0) {
-      obs::ScopedSpan cache_span(obs::Stage::kCache);
-      const std::optional<ByteSpan> span = cache_.touch_and_pin(hint, index);
-      if (span.has_value()) {
-        ++cache_hits_;
-        ++reads_;
-        bytes_served_ += span->size();
-        return PinnedFile{*span, make_retainer(hint)};
-      }
-    }
-  }
-  // Miss: load from disk under the exclusive lock. Revalidate from scratch
-  // — the file may have been erased between the two acquisitions.
-  const auto lock = lock_exclusive();
-  BULLET_ASSIGN_OR_RETURN(const std::uint32_t index, verify(cap, rights::kRead));
-  if (index == 0) {
-    return Error(ErrorCode::bad_argument, "server object holds no data");
-  }
-  auto rnode_result = ensure_cached(index);
-  if (!rnode_result.ok()) {
-    if (rnode_result.code() != ErrorCode::no_space) {
-      return rnode_result.error();
-    }
-    // Concurrent readers can pin the entire arena; this read must still be
-    // served. Load into a private heap buffer the retainer owns — the
-    // reply borrows from it exactly as it would from the cache.
-    const Inode& inode = inodes_[index];
-    auto buffer = std::make_shared<Bytes>(layout_.blocks_for(inode.size_bytes) *
-                                          layout_.block_size());
-    const Status st = read_file_from_disk(inode, MutableByteSpan(*buffer));
-    if (!st.ok()) return st.error();
-    ++scratch_allocs_;
-    bytes_copied_ += inode.size_bytes;
-    ++reads_;
-    bytes_served_ += inode.size_bytes;
-    const ByteSpan span = ByteSpan(*buffer).first(inode.size_bytes);
-    return PinnedFile{span,
-                      std::shared_ptr<const void>(buffer, buffer->data())};
-  }
-  const RnodeIndex rnode = rnode_result.value();
-  cache_.touch(rnode);
-  cache_.pin(rnode);
-  ++reads_;
-  bytes_served_ += inodes_[index].size_bytes;
-  return PinnedFile{cache_.data(rnode), make_retainer(rnode)};
-}
-
-Result<BulletServer::PinnedFile> BulletServer::read_range_pinned(
-    const Capability& cap, std::uint32_t offset, std::uint32_t length) {
-  BULLET_ASSIGN_OR_RETURN(PinnedFile whole, read_pinned(cap));
-  if (offset > whole.data.size() || length > whole.data.size() - offset) {
-    return Error(ErrorCode::bad_argument, "range beyond end of file");
-  }
-  // The whole-file read above over-counted; correct to the range served.
-  bytes_served_ -= whole.data.size() - length;
-  whole.data = whole.data.subspan(offset, length);
-  return whole;
-}
-
-void BulletServer::read_pinned_async(const Capability& cap, ReadCallback done) {
-  // Fast path: identical to read_pinned()'s shared-lock hit probe.
   {
     std::optional<Result<PinnedFile>> immediate;
     {
@@ -789,8 +597,9 @@ void BulletServer::read_pinned_async(const Capability& cap, ReadCallback done) {
     cache_.pin(rnode);
     dst = cache_.mutable_padded_data(rnode);
   } else if (rnode_result.code() == ErrorCode::no_space) {
-    // Pinned-full arena: fall back to a private heap buffer the waiters'
-    // retainers will own, same as the sync path.
+    // Concurrent readers can pin the entire arena; this read must still be
+    // served. Load into a private heap buffer the waiters' retainers own —
+    // the reply borrows from it exactly as it would from the cache.
     heap = std::make_shared<Bytes>(blocks * layout_.block_size());
     dst = MutableByteSpan(*heap);
   } else {
@@ -826,6 +635,7 @@ void BulletServer::read_range_pinned_async(const Capability& cap,
         }
         PinnedFile file = std::move(whole).value();
         if (offset > file.data.size() || length > file.data.size() - offset) {
+          uncount_read(file.data);  // nothing was served
           done(Error(ErrorCode::bad_argument, "range beyond end of file"));
           return;
         }
@@ -834,6 +644,11 @@ void BulletServer::read_range_pinned_async(const Capability& cap,
         file.data = file.data.subspan(offset, length);
         done(std::move(file));
       });
+}
+
+void BulletServer::uncount_read(ByteSpan data) {
+  --reads_;
+  bytes_served_ -= data.size();
 }
 
 void BulletServer::complete_read_fill(std::uint32_t index, Status st,
@@ -920,7 +735,8 @@ void BulletServer::complete_read_fill(std::uint32_t index, Status st,
 }
 
 std::vector<std::function<void()>> BulletServer::release_fill_locked(
-    std::uint32_t index) {
+    std::uint32_t index, ByteSpan image,
+    std::shared_ptr<const void> image_owner) {
   std::vector<std::function<void()>> deliveries;
   const auto it = fills_.find(index);
   if (it == fills_.end()) return deliveries;
@@ -928,10 +744,7 @@ std::vector<std::function<void()>> BulletServer::release_fill_locked(
   fills_.erase(it);
 
   if (fill.erased) {
-    // erase() arrived while the replica writes were in flight; its zeroed
-    // inode block may have raced a stale background image to the replicas,
-    // so rewrite the final word before freeing anything.
-    (void)write_inode_block(index, disk_->replica_count());
+    // erase() arrived while the replica writes were in flight.
     if (fill.rnode != 0) {
       cache_.unpin(fill.rnode);
       cache_.remove(fill.rnode);
@@ -951,127 +764,113 @@ std::vector<std::function<void()>> BulletServer::release_fill_locked(
     return deliveries;
   }
 
-  if (fill.rnode != 0) cache_.unpin(fill.rnode);
-  if (fill.waiters.empty()) return deliveries;
-
-  // Read waiters that joined while the create's writes were in flight.
-  const Inode& inode = inodes_[index];
-  if (fill.rnode != 0) {
-    for (auto& [trace, cb] : fill.waiters) {
-      cache_.pin(fill.rnode);
-      PinnedFile file{cache_.data(fill.rnode), make_retainer(fill.rnode)};
-      ++reads_;
-      bytes_served_ += file.data.size();
-      deliveries.push_back([trace, cb = std::move(cb), file]() mutable {
-        obs::RequestTrace::resume(trace);
-        cb(std::move(file));
-      });
-    }
-    return deliveries;
-  }
-  // Cache-bypass create: the image never entered the arena, but its writes
-  // are durable by now, so serve the waiters from a private heap read (the
-  // same degraded path a pinned-full arena forces on sync reads).
-  auto buffer = std::make_shared<Bytes>(layout_.blocks_for(inode.size_bytes) *
-                                        layout_.block_size());
-  const Status read_st = read_file_from_disk(inode, MutableByteSpan(*buffer));
-  ++scratch_allocs_;
-  bytes_copied_ += inode.size_bytes;
+  // Read waiters that joined while the create's writes were in flight get
+  // the create's own image: the arena entry, pinned per waiter, or for a
+  // cache-bypass create its staging buffer, which `image_owner` keeps
+  // alive.
   for (auto& [trace, cb] : fill.waiters) {
-    Result<PinnedFile> r =
-        read_st.ok()
-            ? Result<PinnedFile>(PinnedFile{
-                  ByteSpan(*buffer).first(inode.size_bytes),
-                  std::shared_ptr<const void>(buffer, buffer->data())})
-            : Result<PinnedFile>(read_st.error());
-    if (read_st.ok()) {
-      ++reads_;
-      bytes_served_ += inode.size_bytes;
+    PinnedFile file{image, image_owner};
+    if (fill.rnode != 0) {
+      cache_.pin(fill.rnode);
+      file.retainer = make_retainer(fill.rnode);
     }
-    deliveries.push_back(
-        [trace, cb = std::move(cb), r = std::move(r)]() mutable {
-          obs::RequestTrace::resume(trace);
-          cb(std::move(r));
-        });
+    ++reads_;
+    bytes_served_ += image.size();
+    deliveries.push_back([trace, cb = std::move(cb), file]() mutable {
+      obs::RequestTrace::resume(trace);
+      cb(std::move(file));
+    });
   }
+  if (fill.rnode != 0) cache_.unpin(fill.rnode);
   return deliveries;
 }
+
 
 // create_async's continuation state: everything the queued writes and their
 // completions need once the request itself is gone.
 struct BulletServer::CreateCtx {
-  Bytes data;         // owned request payload
-  Bytes bypass;       // padded image when the arena had no room
-  Bytes inode_block;  // serialized under the lock for background writes
+  Bytes bypass;     // padded image when the arena had no room
+  ByteSpan stored;  // the padded image the writes read: arena or bypass
   std::uint32_t index = 0;
+  std::uint64_t random = 0;  // the capability's seal, fixed at phase 1
   RnodeIndex rnode = 0;
   std::uint64_t first_block = 0;
   std::uint64_t blocks = 0;
   std::uint32_t size = 0;
   int pfactor = 0;
   int written = 0;
+  bool install = false;
   obs::RequestTrace* trace = nullptr;
   CreateCallback done;
 };
 
-void BulletServer::create_async(Bytes data, int pfactor, CreateCallback done) {
-  auto ctx = std::make_shared<CreateCtx>();
-  ctx->data = std::move(data);
-  ctx->pfactor = pfactor;
-  ctx->done = std::move(done);
-
-  // Phase 1 mirrors create_locked() up to the first disk write: allocate,
-  // ingest into the cache, set the RAM inode — synchronously, under one
-  // exclusive hold. The disk writes then run on the queue.
+void BulletServer::create_async(ByteSpan data, int pfactor,
+                                CreateCallback done, std::uint32_t slot,
+                                std::uint64_t random) {
+  // Phase 1, synchronously under one exclusive hold: allocate, ingest into
+  // the cache, set the RAM inode. The disk writes then run on the queue.
   auto lock = lock_exclusive();
+  const auto fail = [&](Error error) {
+    lock.unlock();
+    done(std::move(error), ByteSpan());
+  };
   if (pfactor < 0 || pfactor > disk_->replica_count()) {
-    lock.unlock();
-    ctx->done(Error(ErrorCode::bad_argument, "pfactor exceeds replica count"));
-    return;
+    return fail(Error(ErrorCode::bad_argument, "pfactor exceeds replica count"));
   }
-  if (ctx->data.size() > std::numeric_limits<std::uint32_t>::max()) {
-    lock.unlock();
-    ctx->done(Error(ErrorCode::too_large, "file exceeds 4 GB"));
-    return;
+  if (data.size() > std::numeric_limits<std::uint32_t>::max()) {
+    return fail(Error(ErrorCode::too_large, "file exceeds 4 GB"));
   }
-  const auto size = static_cast<std::uint32_t>(ctx->data.size());
-  const auto picked = pick_free_slot_locked();
-  if (!picked.ok()) {
-    lock.unlock();
-    ctx->done(picked.error());
-    return;
+  const auto size = static_cast<std::uint32_t>(data.size());
+  std::uint32_t index = slot;
+  if (slot != 0) {
+    // Replication install: the peer already assigned slot and random.
+    random &= kMask48;
+    if (slot >= inodes_.size()) {
+      return fail(Error(ErrorCode::bad_argument, "install slot out of range"));
+    }
+    if (!inodes_[slot].is_free() && inodes_[slot].random == random) {
+      // Already applied (retransmit / resync overlap).
+      lock.unlock();
+      done(mint(slot, random), data);
+      return;
+    }
+    if (!inodes_[slot].is_free() ||
+        std::find(free_inodes_.begin(), free_inodes_.end(), slot) ==
+            free_inodes_.end()) {
+      // Occupied, or zeroed with cleanup deferred behind an async fill —
+      // either way the slot is not installable right now.
+      return fail(Error(ErrorCode::conflict, "install slot occupied"));
+    }
+  } else {
+    const auto picked = pick_free_slot_locked();
+    if (!picked.ok()) return fail(picked.error());
+    // Same admission bound as the read-miss path: a create registers a
+    // fill whose queued writes occupy the disk pipeline, so at the bound
+    // it is shed before allocating anything.
+    if (config_.max_inflight_fills > 0 &&
+        fills_.size() >= config_.max_inflight_fills) {
+      ++inflight_sheds_;
+      return fail(Error(ErrorCode::retry_later, "disk fill bound reached"));
+    }
+    index = picked.value();
   }
-  // Same admission bound as the read-miss path: a create registers a fill
-  // whose queued writes occupy the disk pipeline, so at the bound it is
-  // shed before allocating anything.
-  if (config_.max_inflight_fills > 0 &&
-      fills_.size() >= config_.max_inflight_fills) {
-    ++inflight_sheds_;
-    lock.unlock();
-    ctx->done(Error(ErrorCode::retry_later, "disk fill bound reached"));
-    return;
-  }
+  // Disk extent, first fit; compaction is the fallback when the space
+  // exists but no hole is large enough.
   const std::uint64_t blocks = layout_.blocks_for(size);
   std::uint64_t first_block = layout_.data_start_block();
   if (blocks > 0) {
     std::optional<std::uint64_t> got = disk_free_.allocate(blocks);
     if (!got.has_value() && disk_free_.total_free() >= blocks) {
       const auto moved = compact_disk_locked();
-      if (!moved.ok()) {
-        lock.unlock();
-        ctx->done(moved.error());
-        return;
-      }
+      if (!moved.ok()) return fail(moved.error());
       got = disk_free_.allocate(blocks);
     }
-    if (!got.has_value()) {
-      lock.unlock();
-      ctx->done(Error(ErrorCode::no_space, "disk full"));
-      return;
-    }
+    if (!got.has_value()) return fail(Error(ErrorCode::no_space, "disk full"));
     first_block = *got;
   }
-  const std::uint32_t index = picked.value();
+  // Cache space ("creating files is much the same as reading files that
+  // were not in the cache").
+  auto ctx = std::make_shared<CreateCtx>();
   std::vector<std::uint32_t> evicted;
   auto rnode_result = cache_.insert(index, size, &evicted);
   drop_evicted(evicted);
@@ -1079,88 +878,67 @@ void BulletServer::create_async(Bytes data, int pfactor, CreateCallback done) {
   if (rnode_result.ok()) {
     rnode = rnode_result.value();
     if (size > 0) {
-      std::memcpy(cache_.mutable_data(rnode).data(), ctx->data.data(), size);
+      std::memcpy(cache_.mutable_data(rnode).data(), data.data(), size);
     }
     // The device reads straight from the arena while the lock is down; the
     // pin keeps those bytes valid and immobile until the writes land.
     cache_.pin(rnode);
+    ctx->stored = cache_.padded_data(rnode);
   } else if (rnode_result.code() == ErrorCode::no_space) {
+    // Concurrent readers can pin the entire arena; creating must keep
+    // working. Stage the padded image in a scratch buffer, write it from
+    // there, and leave the file uncached (cache_index 0).
     ctx->bypass.resize(blocks * layout_.block_size());
-    if (size > 0) std::memcpy(ctx->bypass.data(), ctx->data.data(), size);
+    if (size > 0) std::memcpy(ctx->bypass.data(), data.data(), size);
     ++scratch_allocs_;
     bytes_copied_ += size;
+    ctx->stored = ctx->bypass;
   } else {
     if (blocks > 0) {
       const Status rel = disk_free_.release(first_block, blocks);
       assert(rel.ok());
       (void)rel;
     }
-    lock.unlock();
-    ctx->done(rnode_result.error());
-    return;
+    return fail(rnode_result.error());
   }
   unlink_free_slot_locked(index);
 
+  // The RAM inode. The file counts as live from here: an install's erase
+  // can arrive before its writes complete.
   Inode& inode = inodes_[index];
-  inode.random = rng_.next() & kMask48;
+  inode.random = slot != 0 ? random : (rng_.next() & kMask48);
   if (inode.random == 0) inode.random = 1;
   inode.cache_index = rnode;
   inode.first_block = static_cast<std::uint32_t>(first_block);
   inode.size_bytes = size;
+  ++live_files_;
 
   ctx->index = index;
+  ctx->random = inode.random;
   ctx->rnode = rnode;
   ctx->first_block = first_block;
   ctx->blocks = blocks;
   ctx->size = size;
+  ctx->pfactor = pfactor;
+  ctx->install = slot != 0;
+  ctx->done = std::move(done);
 
-  // The fill keeps the file immobile to compaction and defers any erase()
-  // cleanup until the queued writes are done with its blocks.
+  // The fill keeps the file immobile to compaction, lets reads that miss
+  // join it, and defers any erase() cleanup until the queued writes are
+  // done with its blocks.
   Fill fill;
   fill.rnode = rnode;
   fill.random = inode.random;
   fill.first_block = first_block;
   fill.blocks = blocks;
-  fill.create = true;
   fills_.emplace(index, std::move(fill));
-
-  const ByteSpan stored =
-      rnode != 0 ? cache_.padded_data(rnode) : ByteSpan(ctx->bypass);
 
   if (pfactor == 0) {
     // "0 = as soon as it is in the RAM cache": ack now, replicate behind.
-    ++creates_;
-    ++live_files_;
-    bytes_stored_ += size;
-    Capability cap;
-    cap.port = public_port_;
-    cap.object = index;
-    cap.rights = rights::kAll;
-    cap.check = sealer_.seal(rights::kAll, inode.random);
-    const std::uint64_t device_block = layout_.inode_device_block(index);
-    ctx->inode_block = serialize_inode_block(device_block);
+    const Capability cap = commit_create_locked(*ctx);
     lock.unlock();
-    ctx->done(cap);
-    io_.submit_job(
-        [this, ctx, stored, device_block]() -> Status {
-          sim::BackgroundSection bg(config_.clock);
-          const Status data_st =
-              ctx->blocks == 0
-                  ? Status::success()
-                  : disk_->write_remaining(ctx->first_block, stored, 0);
-          const Status inode_st =
-              disk_->write_remaining(device_block, ctx->inode_block, 0);
-          if (!data_st.ok() || !inode_st.ok()) {
-            BULLET_LOG(warn, kLog) << "background replication incomplete";
-          }
-          return Status::success();
-        },
-        [this, ctx](Status, const DiskOpTiming&) {
-          auto relock = lock_exclusive();
-          auto deliveries = release_fill_locked(ctx->index);
-          relock.unlock();
-          for (auto& deliver : deliveries) deliver();
-        });
+    ctx->done(cap, ctx->stored.first(size));
+    write_behind(std::move(ctx));
     return;
   }
 
@@ -1169,18 +947,18 @@ void BulletServer::create_async(Bytes data, int pfactor, CreateCallback done) {
   ctx->trace = obs::RequestTrace::suspend();
   lock.unlock();
   io_.submit_job(
-      [this, ctx, stored]() -> Status {
+      [this, ctx]() -> Status {
         if (ctx->blocks == 0) {
           ctx->written = ctx->pfactor;
           return Status::success();
         }
         const Result<int> w =
-            write_file_data(ctx->first_block, stored, ctx->pfactor);
+            write_file_data(ctx->first_block, ctx->stored, ctx->pfactor);
         if (!w.ok()) return w.error();
         ctx->written = w.value();
         return Status::success();
       },
-      [this, ctx, stored](Status st, const DiskOpTiming& timing) {
+      [this, ctx](Status st, const DiskOpTiming& timing) {
         auto lock = lock_exclusive();
         const Result<int> inode_written =
             st.ok() ? write_inode_block(ctx->index, ctx->pfactor)
@@ -1188,18 +966,25 @@ void BulletServer::create_async(Bytes data, int pfactor, CreateCallback done) {
         const int written = st.ok() && inode_written.ok()
                                 ? std::min(ctx->written, inode_written.value())
                                 : 0;
+        Result<Capability> cap = ErrorCode::io_error;
+        std::vector<std::pair<obs::RequestTrace*, ReadCallback>> waiters;
         if (written < ctx->pfactor) {
           // "If the P-FACTOR is N, the file will be stored on N disks
           // before the client can resume" — anything less means the create
-          // failed. Undo exactly as the sync path does. No capability was
-          // issued yet, so the fill can have neither waiters nor an erase.
+          // failed. Undo so the inode table stays consistent (a zeroed
+          // inode is written back to whatever replicas remain). Only an
+          // install's capability can be known before this point (the peer
+          // issued it), so only an install can have drawn joined reads or
+          // an erase, which already took its file off the live count.
+          auto fill = fills_.extract(ctx->index);
+          waiters = std::move(fill.mapped().waiters);
+          if (!fill.mapped().erased) --live_files_;
           if (ctx->rnode != 0) {
             cache_.unpin(ctx->rnode);
             cache_.remove(ctx->rnode);
           }
           inodes_[ctx->index] = Inode{};
           (void)write_inode_block(ctx->index, disk_->replica_count());
-          fills_.erase(ctx->index);
           free_inodes_.push_back(ctx->index);
           if (ctx->blocks > 0) {
             const Status rel =
@@ -1207,39 +992,22 @@ void BulletServer::create_async(Bytes data, int pfactor, CreateCallback done) {
             assert(rel.ok());
             (void)rel;
           }
-          lock.unlock();
-          obs::RequestTrace::resume(ctx->trace);
-          if (auto* trace = obs::RequestTrace::current()) {
-            trace->add_span(obs::Stage::kDiskQueue, timing.submit_ns,
-                            timing.start_ns - timing.submit_ns);
-            trace->add_span(obs::Stage::kDiskWrite, timing.start_ns,
-                            timing.end_ns - timing.start_ns);
-          }
-          if (!st.ok()) {
-            ctx->done(st.error());
-          } else if (!inode_written.ok()) {
-            ctx->done(inode_written.error());
-          } else {
-            ctx->done(Error(ErrorCode::io_error,
+          cap = !st.ok() ? st.error()
+                : !inode_written.ok()
+                    ? inode_written.error()
+                    : Error(ErrorCode::io_error,
                             "only " + std::to_string(written) + " of " +
                                 std::to_string(ctx->pfactor) +
-                                " replicas written"));
-          }
-          return;
+                                " replicas written");
+        } else {
+          ctx->written = written;
+          cap = commit_create_locked(*ctx);
         }
-        ++creates_;
-        ++live_files_;
-        bytes_stored_ += ctx->size;
-        Capability cap;
-        cap.port = public_port_;
-        cap.object = ctx->index;
-        cap.rights = rights::kAll;
-        cap.check = sealer_.seal(rights::kAll, inodes_[ctx->index].random);
-        const std::uint64_t device_block =
-            layout_.inode_device_block(ctx->index);
-        ctx->inode_block = serialize_inode_block(device_block);
-        ctx->written = written;
         lock.unlock();
+        for (auto& [trace, cb] : waiters) {
+          obs::RequestTrace::resume(trace);
+          cb(cap.error());
+        }
         obs::RequestTrace::resume(ctx->trace);
         if (auto* trace = obs::RequestTrace::current()) {
           trace->add_span(obs::Stage::kDiskQueue, timing.submit_ns,
@@ -1247,32 +1015,53 @@ void BulletServer::create_async(Bytes data, int pfactor, CreateCallback done) {
           trace->add_span(obs::Stage::kDiskWrite, timing.start_ns,
                           timing.end_ns - timing.start_ns);
         }
-        ctx->done(cap);
-        // Remaining replicas complete behind the reply.
-        io_.submit_job(
-            [this, ctx, stored, device_block]() -> Status {
-              sim::BackgroundSection bg(config_.clock);
-              const Status data_st =
-                  ctx->blocks == 0
-                      ? Status::success()
-                      : disk_->write_remaining(ctx->first_block, stored,
-                                               ctx->written);
-              const Status inode_st = disk_->write_remaining(
-                  device_block, ctx->inode_block, ctx->written);
-              if (!data_st.ok() || !inode_st.ok()) {
-                BULLET_LOG(warn, kLog) << "background replication incomplete";
-              }
-              return Status::success();
-            },
-            [this, ctx](Status, const DiskOpTiming&) {
-              auto relock = lock_exclusive();
-              auto deliveries = release_fill_locked(ctx->index);
-              relock.unlock();
-              for (auto& deliver : deliveries) deliver();
-            });
+        if (!cap.ok()) {
+          ctx->done(std::move(cap), ByteSpan());
+          return;
+        }
+        ctx->done(std::move(cap), ctx->stored.first(ctx->size));
+        write_behind(ctx);
       });
 }
 
+Capability BulletServer::commit_create_locked(const CreateCtx& ctx) {
+  ++creates_;
+  bytes_stored_ += ctx.size;
+  if (ctx.install) ++repl_installs_;
+  return mint(ctx.index, ctx.random);
+}
+
+void BulletServer::write_behind(std::shared_ptr<CreateCtx> ctx) {
+  io_.submit_job(
+      [this, ctx]() -> Status {
+        if (ctx->blocks == 0) return Status::success();
+        sim::BackgroundSection bg(config_.clock);
+        return disk_->write_remaining(ctx->first_block, ctx->stored,
+                                      ctx->written);
+      },
+      [this, ctx](Status data_st, const DiskOpTiming&) {
+        auto lock = lock_exclusive();
+        // The inode block goes out freshly serialized under the state lock,
+        // like every inode-table write: an image taken earlier could land
+        // after a newer write of the same block (a neighbour's delete or
+        // compaction flip) and roll it back on these replicas.
+        const std::uint64_t device_block =
+            layout_.inode_device_block(ctx->index);
+        Status inode_st;
+        {
+          sim::BackgroundSection bg(config_.clock);
+          inode_st = disk_->write_remaining(
+              device_block, serialize_inode_block(device_block), ctx->written);
+        }
+        if (!data_st.ok() || !inode_st.ok()) {
+          BULLET_LOG(warn, kLog) << "background replication incomplete";
+        }
+        auto deliveries =
+            release_fill_locked(ctx->index, ctx->stored.first(ctx->size), ctx);
+        lock.unlock();
+        for (auto& deliver : deliveries) deliver();
+      });
+}
 void BulletServer::compact_disk_async(CompactCallback done) {
   if (io_.threads() == 0) {
     // Inline queue: stepping through submit_job would recurse; the
@@ -1379,89 +1168,44 @@ Status BulletServer::erase_index_locked(std::uint32_t index) {
 Result<Capability> BulletServer::create_from(
     const Capability& source, std::span<const wire::FileEdit> edits,
     int pfactor) {
-  const auto lock = lock_exclusive();
-  BULLET_ASSIGN_OR_RETURN(const std::uint32_t index,
-                          verify(source, rights::kRead));
-  if (index == 0) {
-    return Error(ErrorCode::bad_argument, "server object holds no data");
-  }
-  BULLET_ASSIGN_OR_RETURN(const RnodeIndex rnode, ensure_cached(index));
-  cache_.touch(rnode);
-  BULLET_ASSIGN_OR_RETURN(Bytes updated,
-                          wire::apply_edits(cache_.data(rnode), edits));
-  // Edit application stages the new version in a scratch buffer before the
-  // create ingests it; account the cost (the plain create path stays at
-  // zero staged bytes).
-  ++scratch_allocs_;
-  bytes_copied_ += updated.size();
-  return create_locked(updated, pfactor);
+  return await<Result<Capability>>([&](auto done) {
+    create_from_async(source, {edits.begin(), edits.end()}, pfactor,
+                      [done](Result<Capability> cap, ByteSpan) {
+                        done(std::move(cap));
+                      });
+  });
+}
+
+void BulletServer::create_from_async(const Capability& source,
+                                     std::vector<wire::FileEdit> edits,
+                                     int pfactor, CreateCallback done) {
+  read_pinned_async(source, [this, edits = std::move(edits), pfactor,
+                             done = std::move(done)](
+                                Result<PinnedFile> file) mutable {
+    if (file.ok()) uncount_read(file.value().data);  // not a client read
+    Result<Bytes> updated =
+        file.ok() ? wire::apply_edits(file.value().data, edits)
+                  : Result<Bytes>(file.error());
+    if (!updated.ok()) {
+      done(updated.error(), ByteSpan());
+      return;
+    }
+    // Edit application stages the new version in a scratch buffer before
+    // the create ingests it; account the cost (the plain create path stays
+    // at zero staged bytes).
+    ++scratch_allocs_;
+    bytes_copied_ += updated.value().size();
+    create_async(updated.value(), pfactor, std::move(done));
+  });
 }
 
 Result<ByteSpan> BulletServer::read_range(const Capability& cap,
                                           std::uint32_t offset,
                                           std::uint32_t length) {
-  const auto lock = lock_exclusive();
-  BULLET_ASSIGN_OR_RETURN(const std::uint32_t index, verify(cap, rights::kRead));
-  if (index == 0) {
-    return Error(ErrorCode::bad_argument, "server object holds no data");
-  }
-  const Inode& inode = inodes_[index];
-  if (offset > inode.size_bytes || length > inode.size_bytes - offset) {
-    return Error(ErrorCode::bad_argument, "range beyond end of file");
-  }
-  BULLET_ASSIGN_OR_RETURN(const RnodeIndex rnode, ensure_cached(index));
-  cache_.touch(rnode);
-  ++reads_;
-  bytes_served_ += length;
-  return cache_.data(rnode).subspan(offset, length);
+  return cache_view(cap, await<Result<PinnedFile>>([&](auto done) {
+                      read_range_pinned_async(cap, offset, length, done);
+                    }));
 }
-
-Result<RnodeIndex> BulletServer::ensure_cached(std::uint32_t index) {
-  // Cache span: ~0 on a hit, disk fill time on a miss.
-  obs::ScopedSpan cache_span(obs::Stage::kCache);
-  Inode& inode = inodes_[index];
-  if (inode.cache_index != 0 && cache_.contains(inode.cache_index) &&
-      cache_.inode_of(inode.cache_index) == index) {
-    ++cache_hits_;
-    return inode.cache_index;
-  }
-  ++cache_misses_;
-  std::vector<std::uint32_t> evicted;
-  auto rnode_result = cache_.insert(index, inode.size_bytes, &evicted);
-  drop_evicted(evicted);
-  if (!rnode_result.ok()) return rnode_result.error();
-  const RnodeIndex rnode = rnode_result.value();
-  const Status st =
-      read_file_from_disk(inode, cache_.mutable_padded_data(rnode));
-  if (!st.ok()) {
-    cache_.remove(rnode);
-    return st.error();
-  }
-  inode.cache_index = rnode;
-  return rnode;
-}
-
-Status BulletServer::read_file_from_disk(const Inode& inode,
-                                         MutableByteSpan out) {
-  // `out` is the padded arena allocation: whole blocks, so the device
-  // reads the tail block in place (its on-disk padding is zero by the
-  // create-path invariant) instead of bouncing it through a scratch block.
-  assert(out.size() ==
-         layout_.blocks_for(inode.size_bytes) * layout_.block_size());
-  if (out.empty()) return Status::success();
-  // Disk I/O is µs-scale and off the cache-hit path, so its histogram
-  // records every operation (not just sampled requests); the trace span
-  // reuses the same clock reads.
-  const std::uint64_t t0 = obs::now_ns();
-  const Status st = disk_->read(inode.first_block, out);
-  const std::uint64_t dur = obs::now_ns() - t0;
-  disk_read_latency_ns_.record(dur);
-  if (auto* trace = obs::RequestTrace::current()) {
-    trace->add_span(obs::Stage::kDiskRead, t0, dur);
-  }
-  return st;
-}
-
 Result<int> BulletServer::write_file_data(std::uint64_t first_block,
                                           ByteSpan data, int max_replicas) {
   if (data.empty()) return max_replicas;
@@ -1474,14 +1218,6 @@ Result<int> BulletServer::write_file_data(std::uint64_t first_block,
     trace->add_span(obs::Stage::kDiskWrite, t0, dur);
   }
   return written;
-}
-
-Status BulletServer::write_file_data_remaining(std::uint64_t first_block,
-                                               ByteSpan data,
-                                               int already_written) {
-  if (data.empty()) return Status::success();
-  assert(data.size() % layout_.block_size() == 0);
-  return disk_->write_remaining(first_block, data, already_written);
 }
 
 Bytes BulletServer::serialize_inode_block(std::uint64_t device_block) const {
@@ -1516,14 +1252,6 @@ Result<int> BulletServer::write_inode_block(std::uint32_t index,
     trace->add_span(obs::Stage::kDiskWrite, t0, dur);
   }
   return written;
-}
-
-Status BulletServer::write_inode_block_remaining(std::uint32_t index,
-                                                 int already_written) {
-  const std::uint64_t device_block = layout_.inode_device_block(index);
-  return disk_->write_remaining(device_block,
-                                serialize_inode_block(device_block),
-                                already_written);
 }
 
 void BulletServer::clear_cache_index(std::uint32_t inode_index) {
@@ -1834,14 +1562,8 @@ Result<Capability> BulletServer::restrict(const Capability& cap,
   if ((new_rights & cap.rights) != new_rights) {
     return Error(ErrorCode::permission, "cannot add rights");
   }
-  const std::uint64_t random =
-      index == 0 ? super_random_ : inodes_[index].random;
-  Capability out;
-  out.port = public_port_;
-  out.object = index;
-  out.rights = new_rights;
-  out.check = sealer_.seal(new_rights, random);
-  return out;
+  return mint(index, index == 0 ? super_random_ : inodes_[index].random,
+              new_rights);
 }
 
 Status BulletServer::sync() {

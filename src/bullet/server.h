@@ -6,21 +6,34 @@
 // P-FACTOR durability knob on create. The same object serves requests both
 // as a plain C++ API (create/read/size/erase) and as an rpc::Service.
 //
-// Concurrency: handle() may be called from many threads at once (the UDP
-// worker pool). Files are immutable, so reads need no coordination with
-// each other — the hot path takes a reader (shared) lock, pins the cache
-// entry, and ships borrowed bytes whose lifetime the Reply's retainer
-// owns. Mutations (create/erase/create_from/compact/sync) serialize on the
-// writer (exclusive) lock. See DESIGN.md "Concurrency model" for the lock
-// hierarchy and the pin lifecycle.
+// One execution path: every operation that waits on the device exists
+// once, as a continuation form whose disk work runs on the AsyncDiskQueue
+// (handle_async, read_pinned_async, create_async, compact_disk_async). The
+// synchronous entry points — handle(), read_pinned(), read(), read_range(),
+// create(), create_from(), install_object() — are blocking adapters that
+// start the continuation form and wait for its callback, so in-process
+// transports, tests and benches run exactly the code the UDP daemon runs.
+// Never call an adapter from this server's own disk-queue thread (a
+// completion callback): it would wait for work queued behind itself.
+//
+// Concurrency: any entry point may be called from many threads at once.
+// Files are immutable, so reads need no coordination with each other — a
+// cache hit takes a reader (shared) lock, pins the cache entry, and ships
+// borrowed bytes whose lifetime the Reply's retainer owns. Mutations
+// serialize on the writer (exclusive) lock. See DESIGN.md "Concurrency
+// model" for the lock hierarchy and the pin lifecycle, and "Async disk
+// pipeline" for which work still waits on the device on its caller.
 #pragma once
 
 #include <atomic>
+#include <cassert>
+#include <condition_variable>
 #include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <utility>
 #include <vector>
@@ -89,32 +102,29 @@ class BulletServer final : public rpc::Service {
   // --- the four paper operations --------------------------------------
 
   // BULLET.CREATE: store an immutable file; reply after `pfactor` replicas
-  // hold it (0 = as soon as it is in the RAM cache).
+  // hold it (0 = as soon as it is in the RAM cache). Blocking adapter over
+  // create_async().
   Result<Capability> create(ByteSpan data, int pfactor);
 
   // BULLET.READ: the whole file. The returned span views the RAM cache and
   // is valid until the next server operation. Single-threaded callers only
-  // (takes the exclusive lock so nothing invalidates the span mid-copy);
-  // concurrent callers use read_pinned().
+  // (the span is not pinned once returned); concurrent callers use
+  // read_pinned(). Fails with no_space when every arena byte is pinned and
+  // the file could only be served from a private buffer.
   Result<ByteSpan> read(const Capability& cap);
 
   // BULLET.READ for concurrent callers: the span views the RAM cache and
   // the `retainer` keeps the entry pinned (valid, immobile, exempt from
   // eviction) until the last copy of the retainer drops. Cache hits take
-  // only the shared lock. The server must outlive every retainer.
+  // only the shared lock. The server must outlive every retainer. Blocking
+  // adapter over read_pinned_async().
   struct PinnedFile {
     ByteSpan data;
     std::shared_ptr<const void> retainer;
   };
   Result<PinnedFile> read_pinned(const Capability& cap);
 
-  // read_range() with the same pinning contract; `data` is the requested
-  // sub-range (the pin covers the whole underlying file).
-  Result<PinnedFile> read_range_pinned(const Capability& cap,
-                                       std::uint32_t offset,
-                                       std::uint32_t length);
-
-  // --- continuation forms (the async disk pipeline) ---------------------
+  // --- continuation forms (the one execution path) ----------------------
   //
   // Each delivers its result through the callback, invoked exactly once
   // with no server lock held: synchronously for work that needed no disk
@@ -124,22 +134,31 @@ class BulletServer final : public rpc::Service {
   // the initiating request's trace reattached (RequestTrace::resume), so
   // the reply-side spans land on the right timeline.
   using ReadCallback = std::function<void(Result<PinnedFile>)>;
-  using CreateCallback = std::function<void(Result<Capability>)>;
+  // `data` is the created file's bytes, valid only during the callback
+  // (what a replicated pair pushes to its peer).
+  using CreateCallback =
+      std::function<void(Result<Capability>, ByteSpan data)>;
   using CompactCallback = std::function<void(Result<std::uint64_t>)>;
 
-  // read_pinned(), continuation form. A cache hit completes inline under
-  // the shared lock only; a miss registers a fill, submits the device read
-  // and parks. Concurrent misses for the same file join the in-flight fill
-  // instead of issuing duplicate reads.
+  // The whole file. A cache hit completes inline under the shared lock
+  // only; a miss registers a fill, submits the device read and parks.
+  // Concurrent misses for the same file — and reads of a file whose create
+  // is still writing — join the in-flight fill instead of reading again.
   void read_pinned_async(const Capability& cap, ReadCallback done);
-  // read_range_pinned(), continuation form.
+  // A byte range, with the same pinning contract; `data` is the requested
+  // sub-range (the pin covers the whole underlying file).
   void read_range_pinned_async(const Capability& cap, std::uint32_t offset,
                                std::uint32_t length, ReadCallback done);
-  // create(), continuation form. Allocation, cache ingest, and the RAM
-  // inode happen synchronously under the exclusive lock; the P-FACTOR disk
-  // writes run on the queue and the callback fires once the requested
-  // paranoia holds (remaining replicas complete in the background).
-  void create_async(Bytes data, int pfactor, CreateCallback done);
+  // Allocation, cache ingest, and the RAM inode happen synchronously under
+  // the exclusive lock (`data` need only live for the call); the P-FACTOR
+  // disk writes run on the queue and the callback fires once the requested
+  // paranoia holds (remaining replicas complete in the background). A
+  // nonzero `slot` installs a peer's file at that inode slot with the
+  // peer's `random`: the same (slot, random) already present answers with
+  // its capability, and installs are exempt from max_inflight_fills (a
+  // shed install would fail the push and degrade the pair).
+  void create_async(ByteSpan data, int pfactor, CreateCallback done,
+                    std::uint32_t slot = 0, std::uint64_t random = 0);
   // compact_disk(), continuation form: runs the incremental steps on the
   // disk queue, interleaving with normal traffic between steps.
   void compact_disk_async(CompactCallback done);
@@ -153,13 +172,15 @@ class BulletServer final : public rpc::Service {
   // --- §5 extensions ----------------------------------------------------
 
   // Create a new file as an edited copy of an existing one, so a small
-  // change does not ship the whole file over the network.
+  // change does not ship the whole file over the network. The source is
+  // read through the read path, then created. Blocking adapter.
   Result<Capability> create_from(const Capability& source,
                                  std::span<const wire::FileEdit> edits,
                                  int pfactor);
 
   // Read a byte range, for clients whose memory cannot hold the file.
-  // Single-threaded callers only, like read().
+  // Single-threaded callers only, like read(); a blocking adapter over
+  // read_range_pinned_async().
   Result<ByteSpan> read_range(const Capability& cap, std::uint32_t offset,
                               std::uint32_t length);
 
@@ -256,6 +277,7 @@ class BulletServer final : public rpc::Service {
   // same (object, random) already in place returns the existing
   // capability; a different live file at the slot is a conflict. A
   // matching local tombstone wins (the delete happened after the create).
+  // Blocking adapter over create_async() at the fixed slot.
   Result<Capability> install_object(std::uint32_t object, std::uint64_t random,
                                     ByteSpan data, std::uint64_t message_id);
   // Apply one peer-originated delete. Idempotent: already-gone is ok.
@@ -285,10 +307,14 @@ class BulletServer final : public rpc::Service {
 
   // --- rpc::Service -----------------------------------------------------
   Port public_port() const noexcept override { return public_port_; }
+  // Blocking adapter over handle_async(), for in-process transports. It
+  // starts the request's trace (their sampling point) and waits for the
+  // reply, which a parked request delivers from a disk-queue thread.
   rpc::Reply handle(const rpc::Request& request) override;
-  // Continuation dispatch: READ/READ_RANGE/CREATE/COMPACT_DISK route to
-  // their *_async forms (the handler thread never blocks in the device on
-  // a cache miss); every other opcode answers synchronously via handle().
+  // The one dispatch switch. READ, READ_RANGE, CREATE, CREATE_FROM,
+  // COMPACT_DISK and the replication install/fetch reply from their
+  // continuations (the handler thread never waits on the device for
+  // them); every other opcode replies inline.
   void handle_async(const rpc::Request& request,
                     rpc::Responder respond) override;
 
@@ -323,16 +349,37 @@ class BulletServer final : public rpc::Service {
   std::shared_lock<std::shared_mutex> lock_shared() const;
   std::unique_lock<std::shared_mutex> lock_exclusive() const;
 
-  // create() body; caller holds the exclusive lock (create_from() composes
-  // it with edit application under one critical section).
-  Result<Capability> create_locked(ByteSpan data, int pfactor);
-  // The full create machinery at a caller-chosen slot. `index` must be a
-  // free slot (or 0 = pick per the allocation direction); `random` 0 means
-  // draw a fresh one — the replication install path pins both so the peer
-  // mints byte-identical capabilities.
-  Result<Capability> create_at_locked(ByteSpan data, int pfactor,
-                                      std::uint32_t index,
-                                      std::uint64_t random);
+  // The blocking adapter: run `start` with a callback, wait until the
+  // callback has delivered a T, and return it. The callback hands the
+  // caller's trace back if a disk-queue thread resumed it there.
+  template <typename T, typename Start>
+  T await(Start start);
+
+  // The capability with `rights` for object `object` sealed with `random`.
+  Capability mint(std::uint32_t object, std::uint64_t random,
+                  std::uint8_t rights = rights::kAll) const;
+
+  // create_from(), continuation form: read the source, apply the edits,
+  // create the result.
+  void create_from_async(const Capability& source,
+                         std::vector<wire::FileEdit> edits, int pfactor,
+                         CreateCallback done);
+
+  // Take back the reads_/bytes_served_ the read path counted for a read
+  // that served no client: a range that failed its bounds check, or the
+  // server's own reads (CREATE-FROM's source, a peer fetch).
+  void uncount_read(ByteSpan data);
+
+  // read()/read_range() tail: the unpinned cache view of a pinned read.
+  Result<ByteSpan> cache_view(const Capability& cap,
+                              Result<PinnedFile> file) const;
+
+  // The reply to CREATE/CREATE-FROM: push the new file to the peer, record
+  // the reply for retry dedup, encode the capability.
+  rpc::Reply created_reply(std::uint16_t opcode, std::uint64_t message_id,
+                           const Result<Capability>& cap, ByteSpan data);
+  static rpc::Reply cap_reply(const Result<Capability>& cap);
+
   // erase() body after capability verification; caller holds the
   // exclusive lock (the replication erase path resolves by slot).
   Status erase_index_locked(std::uint32_t index);
@@ -353,7 +400,6 @@ class BulletServer final : public rpc::Service {
     std::uint64_t random = 0;     // identity check at completion
     std::uint64_t first_block = 0;
     std::uint64_t blocks = 0;
-    bool create = false;          // write-side (create) vs read-side fill
     bool erased = false;          // erase() arrived mid-fill: cleanup deferred
     // Requests waiting on this fill (read side): the initiator first, then
     // any concurrent misses that joined instead of re-reading. Each entry
@@ -367,11 +413,21 @@ class BulletServer final : public rpc::Service {
                           std::shared_ptr<Bytes> heap);
   // Release a create fill's bookkeeping once its disk writes are done;
   // caller holds the exclusive lock. Returns the deliveries owed to read
-  // waiters that joined mid-create — the caller invokes them after
-  // unlocking (callbacks never run under the state lock).
-  std::vector<std::function<void()>> release_fill_locked(std::uint32_t index);
+  // waiters that joined mid-create, served from the create's `image`
+  // (kept alive by `image_owner` when it is not in the arena) — the caller
+  // invokes them after unlocking (callbacks never run under the state
+  // lock).
+  std::vector<std::function<void()>> release_fill_locked(
+      std::uint32_t index, ByteSpan image,
+      std::shared_ptr<const void> image_owner);
 
   struct CreateCtx;  // create_async's continuation state (server.cc)
+  // Book a create whose acked replicas hold: counters and the capability
+  // (sealed with the random set at allocation, even if an erase has since
+  // zeroed the inode). Exclusive lock.
+  Capability commit_create_locked(const CreateCtx& ctx);
+  // Queue the replicas beyond the ack, then release the create's fill.
+  void write_behind(std::shared_ptr<CreateCtx> ctx);
 
   // Incremental compaction state machine; guarded by state_mu_. At most
   // one move is in flight; `held` ranges are reserved in disk_free_ so
@@ -413,27 +469,17 @@ class BulletServer final : public rpc::Service {
   Result<std::uint32_t> verify(const Capability& cap,
                                std::uint8_t required) const;
 
-  // Ensure the file behind `index` is cached; returns its rnode.
-  Result<RnodeIndex> ensure_cached(std::uint32_t index);
-
   // Write block-aligned file bytes (the cache arena's padded allocation,
   // padding already zeroed) at `first_block` on up to `max_replicas`
   // replicas; returns replicas written. No staging: `data` goes to the
   // device directly.
   Result<int> write_file_data(std::uint64_t first_block, ByteSpan data,
                               int max_replicas);
-  Status write_file_data_remaining(std::uint64_t first_block, ByteSpan data,
-                                   int already_written);
 
   // Write-through of the device block holding inode `index`, serialized
   // from the RAM inode table.
   Result<int> write_inode_block(std::uint32_t index, int max_replicas);
-  Status write_inode_block_remaining(std::uint32_t index, int already_written);
   Bytes serialize_inode_block(std::uint64_t device_block) const;
-
-  // Read a file's blocks from disk straight into `out`, the file's padded
-  // (block-aligned) cache allocation — no bounce buffer.
-  Status read_file_from_disk(const Inode& inode, MutableByteSpan out);
 
   void clear_cache_index(std::uint32_t inode_index);
   void drop_evicted(const std::vector<std::uint32_t>& evicted);
@@ -462,14 +508,23 @@ class BulletServer final : public rpc::Service {
   // Propagate a completed local mutation to the peer (no-op in solo mode
   // or while the peer is down; a failed push degrades to solo). Called
   // with no locks held, after the local apply succeeded.
-  void replicate_create(std::uint32_t object, std::uint64_t message_id);
+  void replicate_create(std::uint32_t object, std::uint64_t random,
+                        ByteSpan data, std::uint64_t message_id);
   void replicate_erase(std::uint32_t object, std::uint64_t random,
                        std::uint64_t message_id);
 
-  // kReplicate / kReplResync dispatch (called from handle()).
-  rpc::Reply handle_replicate(const rpc::Request& request);
+  // kReplicate / kReplResync dispatch (called from handle_async()).
+  void handle_replicate(const rpc::Request& request, rpc::Responder respond);
   rpc::Reply handle_repl_resync();
-  // kShardMap dispatch (called from handle()).
+  // install_object(), continuation form (a kReplInstall replies from it).
+  void install_object_async(std::uint32_t object, std::uint64_t random,
+                            ByteSpan data, std::uint64_t message_id,
+                            CreateCallback done);
+  // Read a live file by (slot, random) for the peer: a file that is gone
+  // or was replaced reads as no_such_object.
+  void read_object_async(std::uint32_t object, std::uint64_t random,
+                         ReadCallback done);
+  // kShardMap dispatch (called from handle_async()).
   rpc::Reply handle_shard_map(const rpc::Request& request);
 
   // The free inode slot a fresh create should use: the allocation-direction
@@ -491,13 +546,6 @@ class BulletServer final : public rpc::Service {
 
   // The sealed random of a live object (0 if free/out of range).
   std::uint64_t object_random(std::uint32_t object) const;
-
-  // Snapshot a live file's identity and bytes for pushing to the peer.
-  struct ObjectSnapshot {
-    std::uint64_t random = 0;
-    Bytes data;
-  };
-  Result<ObjectSnapshot> copy_object_bytes(std::uint32_t object);
 
   // Re-sort free_inodes_ so back() matches the allocation direction for
   // `role`. Caller holds the exclusive lock.
@@ -619,5 +667,31 @@ class BulletServer final : public rpc::Service {
   // table, allocator) is still alive.
   AsyncDiskQueue io_;
 };
+
+template <typename T, typename Start>
+T BulletServer::await(Start start) {
+  assert(!io_.in_completion() &&
+         "blocking adapter called from this server's disk-queue thread");
+  struct Waiter {
+    std::mutex mu;
+    std::condition_variable cv;
+    std::optional<T> result;
+    obs::RequestTrace* trace = obs::RequestTrace::current();
+  } waiter;
+  start([w = &waiter](T result) {
+    // A parked operation delivers on a disk-queue thread with the caller's
+    // trace resumed there; detach it so the caller can take it back.
+    if (w->trace != nullptr && obs::RequestTrace::current() == w->trace) {
+      (void)obs::RequestTrace::suspend();
+    }
+    std::lock_guard<std::mutex> lock(w->mu);
+    w->result.emplace(std::move(result));
+    w->cv.notify_one();
+  });
+  std::unique_lock<std::mutex> lock(waiter.mu);
+  waiter.cv.wait(lock, [&] { return waiter.result.has_value(); });
+  obs::RequestTrace::resume(waiter.trace);
+  return std::move(*waiter.result);
+}
 
 }  // namespace bullet

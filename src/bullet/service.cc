@@ -10,30 +10,81 @@ rpc::Reply to_reply(const Status& status) {
   return status.ok() ? rpc::Reply::success() : rpc::Reply::error(status.code());
 }
 
+// READ / READ_RANGE reply. Zero-copy: own only the 4-byte blob length;
+// borrow the file bytes from the cache arena, pinned there by the retainer
+// for as long as the Reply lives (so a concurrent worker can encode it
+// while other requests evict and compact). Wire bytes are identical to a
+// Writer::blob() reply.
+rpc::Reply pinned_reply(Result<BulletServer::PinnedFile> data) {
+  if (!data.ok()) return rpc::Reply::error(data.code());
+  Writer w(4);
+  w.u32(static_cast<std::uint32_t>(data.value().data.size()));
+  return rpc::Reply::success_borrowed(std::move(w).take(), data.value().data,
+                                      std::move(data.value().retainer));
+}
+
 }  // namespace
 
+rpc::Reply BulletServer::cap_reply(const Result<Capability>& cap) {
+  if (!cap.ok()) return rpc::Reply::error(cap.code());
+  Writer w(Capability::kWireSize);
+  cap.value().encode(w);
+  return rpc::Reply::success(std::move(w).take());
+}
+
+rpc::Reply BulletServer::created_reply(std::uint16_t opcode,
+                                       std::uint64_t message_id,
+                                       const Result<Capability>& cap,
+                                       ByteSpan data) {
+  if (!cap.ok()) return rpc::Reply::error(cap.code());
+  const std::uint32_t object = cap.value().object;
+  const std::uint64_t random = object_random(object);
+  if (random != 0) replicate_create(object, random, data, message_id);
+  rpc::Reply reply = cap_reply(cap);
+  dedup_record(message_id, opcode, reply.body, object, random);
+  return reply;
+}
+
 rpc::Reply BulletServer::handle(const rpc::Request& request) {
-  // Start (or join) this request's trace. Over UDP the transport already
-  // created one after decode, so this is a no-op; over an in-process
-  // transport this is where sampling happens. The handle span doubles as
-  // the per-operation service-latency sample: the histogram and the trace
-  // share one sampling decision and one pair of clock reads.
+  // In-process transports enter here, so this is where their requests are
+  // sampled; over UDP the transport's trace is already current and this
+  // is a no-op.
   obs::RequestTrace trace(request.opcode, request.trace_id);
-  obs::LatencyHistogram* latency = nullptr;
-  switch (request.opcode) {
-    case wire::kRead:
-    case wire::kReadRange:
-      latency = &read_latency_ns_;
-      break;
-    case wire::kCreate:
-    case wire::kCreateFrom:
-      latency = &create_latency_ns_;
-      break;
-    case wire::kDelete:
-      latency = &delete_latency_ns_;
-      break;
+  return await<rpc::Reply>(
+      [&](auto done) { handle_async(request, std::move(done)); });
+}
+
+void BulletServer::handle_async(const rpc::Request& request,
+                                rpc::Responder respond) {
+  // The handle span doubles as the per-operation service-latency sample:
+  // the histogram and the trace share one sampling decision and one pair
+  // of clock reads, the second taken when the reply is ready — inline, or
+  // in the continuation of a request that parked on the disk queue.
+  if (obs::RequestTrace::current() != nullptr) {
+    obs::LatencyHistogram* latency = nullptr;
+    switch (request.opcode) {
+      case wire::kRead:
+      case wire::kReadRange:
+        latency = &read_latency_ns_;
+        break;
+      case wire::kCreate:
+      case wire::kCreateFrom:
+        latency = &create_latency_ns_;
+        break;
+      case wire::kDelete:
+        latency = &delete_latency_ns_;
+        break;
+    }
+    respond = [respond = std::move(respond), latency,
+               t0 = obs::now_ns()](rpc::Reply&& reply) {
+      if (auto* trace = obs::RequestTrace::current()) {
+        const std::uint64_t dur = obs::now_ns() - t0;
+        trace->add_span(obs::Stage::kHandle, t0, dur);
+        if (latency != nullptr) latency->record(dur);
+      }
+      respond(std::move(reply));
+    };
   }
-  obs::ScopedSpan handle_span(obs::Stage::kHandle, latency);
 
   // Mutations carrying a message id consult the cross-replica dedup record
   // first: a retried (or failed-over) create/delete whose original already
@@ -43,77 +94,77 @@ rpc::Reply BulletServer::handle(const rpc::Request& request) {
     case wire::kCreateFrom:
     case wire::kDelete: {
       rpc::Reply recorded;
-      if (dedup_lookup(request.message_id, &recorded)) return recorded;
+      if (dedup_lookup(request.message_id, &recorded)) {
+        return respond(std::move(recorded));
+      }
       break;
     }
   }
 
+  const auto bad = [&] { respond(rpc::Reply::error(ErrorCode::bad_argument)); };
+  // Verify the target for an admin-style opcode, replying on failure;
+  // `server_object` additionally requires the server object itself.
+  const auto denied = [&](std::uint8_t required, bool server_object) {
+    ErrorCode code = ErrorCode::ok;
+    {
+      const auto lock = lock_shared();
+      const auto verified = verify(request.target, required);
+      if (!verified.ok()) {
+        code = verified.code();
+      } else if (server_object && verified.value() != 0) {
+        code = ErrorCode::bad_argument;
+      }
+    }
+    if (code != ErrorCode::ok) respond(rpc::Reply::error(code));
+    return code != ErrorCode::ok;
+  };
   Reader body(request.body);
   switch (request.opcode) {
     case wire::kCreate: {
       auto pfactor = body.u8();
       auto data = pfactor.ok() ? body.blob() : Result<ByteSpan>(pfactor.error());
-      if (!data.ok() || !body.done()) {
-        return rpc::Reply::error(ErrorCode::bad_argument);
-      }
+      if (!data.ok() || !body.done()) return bad();
       // CREATE addresses the server object; require the write right on it.
-      {
-        const auto lock = lock_shared();
-        const auto verified = verify(request.target, rights::kWrite);
-        if (!verified.ok()) return rpc::Reply::error(verified.code());
-        if (verified.value() != 0) {
-          return rpc::Reply::error(ErrorCode::bad_argument);
-        }
-      }
-      auto cap = create(data.value(), pfactor.value());
-      if (!cap.ok()) return rpc::Reply::error(cap.code());
-      replicate_create(cap.value().object, request.message_id);
-      Writer w(Capability::kWireSize);
-      cap.value().encode(w);
-      dedup_record(request.message_id, wire::kCreate, w.data(),
-                   cap.value().object, object_random(cap.value().object));
-      return rpc::Reply::success(std::move(w).take());
+      if (denied(rights::kWrite, true)) return;
+      create_async(data.value(), pfactor.value(),
+                   [this, respond = std::move(respond),
+                    message_id = request.message_id](
+                       Result<Capability> cap, ByteSpan bytes) {
+                     respond(created_reply(wire::kCreate, message_id, cap,
+                                           bytes));
+                   });
+      return;
     }
     case wire::kRead: {
-      if (!body.done()) return rpc::Reply::error(ErrorCode::bad_argument);
-      auto data = read_pinned(request.target);
-      if (!data.ok()) return rpc::Reply::error(data.code());
-      // Zero-copy reply: own only the 4-byte blob length; borrow the file
-      // bytes from the cache arena, pinned there by the retainer for as
-      // long as the Reply lives (so a concurrent worker can encode it
-      // while other requests evict and compact). Wire bytes are identical
-      // to the old Writer::blob() reply.
-      Writer w(4);
-      w.u32(static_cast<std::uint32_t>(data.value().data.size()));
-      return rpc::Reply::success_borrowed(std::move(w).take(),
-                                          data.value().data,
-                                          std::move(data.value().retainer));
+      if (!body.done()) return bad();
+      read_pinned_async(request.target,
+                        [respond = std::move(respond)](
+                            Result<PinnedFile> data) {
+                          respond(pinned_reply(std::move(data)));
+                        });
+      return;
     }
     case wire::kReadRange: {
       auto offset = body.u32();
       auto length = offset.ok() ? body.u32() : offset;
-      if (!length.ok() || !body.done()) {
-        return rpc::Reply::error(ErrorCode::bad_argument);
-      }
-      auto data =
-          read_range_pinned(request.target, offset.value(), length.value());
-      if (!data.ok()) return rpc::Reply::error(data.code());
-      Writer w(4);
-      w.u32(static_cast<std::uint32_t>(data.value().data.size()));
-      return rpc::Reply::success_borrowed(std::move(w).take(),
-                                          data.value().data,
-                                          std::move(data.value().retainer));
+      if (!length.ok() || !body.done()) return bad();
+      read_range_pinned_async(request.target, offset.value(), length.value(),
+                              [respond = std::move(respond)](
+                                  Result<PinnedFile> data) {
+                                respond(pinned_reply(std::move(data)));
+                              });
+      return;
     }
     case wire::kSize: {
-      if (!body.done()) return rpc::Reply::error(ErrorCode::bad_argument);
+      if (!body.done()) return bad();
       auto n = size(request.target);
-      if (!n.ok()) return rpc::Reply::error(n.code());
+      if (!n.ok()) return respond(rpc::Reply::error(n.code()));
       Writer w(4);
       w.u32(n.value());
-      return rpc::Reply::success(std::move(w).take());
+      return respond(rpc::Reply::success(std::move(w).take()));
     }
     case wire::kDelete: {
-      if (!body.done()) return rpc::Reply::error(ErrorCode::bad_argument);
+      if (!body.done()) return bad();
       // Capture the doomed file's identity before it goes: the tombstone
       // and the peer push both need (object, random).
       const std::uint64_t random = object_random(request.target.object);
@@ -123,97 +174,72 @@ rpc::Reply BulletServer::handle(const rpc::Request& request) {
         dedup_record(request.message_id, wire::kDelete, Bytes{},
                      request.target.object, random);
       }
-      return to_reply(st);
+      return respond(to_reply(st));
     }
     case wire::kCreateFrom: {
       auto pfactor = body.u8();
       auto count = pfactor.ok() ? body.u32() : Result<std::uint32_t>(pfactor.error());
-      if (!count.ok()) return rpc::Reply::error(ErrorCode::bad_argument);
+      if (!count.ok()) return bad();
       // Untrusted count: each edit occupies at least 13 bytes on the wire.
-      if (count.value() > body.remaining() / 13) {
-        return rpc::Reply::error(ErrorCode::bad_argument);
-      }
+      if (count.value() > body.remaining() / 13) return bad();
       std::vector<wire::FileEdit> edits;
       edits.reserve(count.value());
       for (std::uint32_t i = 0; i < count.value(); ++i) {
         auto edit = wire::FileEdit::decode(body);
-        if (!edit.ok()) return rpc::Reply::error(ErrorCode::bad_argument);
+        if (!edit.ok()) return bad();
         edits.push_back(std::move(edit).value());
       }
-      if (!body.done()) return rpc::Reply::error(ErrorCode::bad_argument);
-      auto cap = create_from(request.target, edits, pfactor.value());
-      if (!cap.ok()) return rpc::Reply::error(cap.code());
-      replicate_create(cap.value().object, request.message_id);
-      Writer w(Capability::kWireSize);
-      cap.value().encode(w);
-      dedup_record(request.message_id, wire::kCreateFrom, w.data(),
-                   cap.value().object, object_random(cap.value().object));
-      return rpc::Reply::success(std::move(w).take());
+      if (!body.done()) return bad();
+      create_from_async(request.target, std::move(edits), pfactor.value(),
+                        [this, respond = std::move(respond),
+                         message_id = request.message_id](
+                            Result<Capability> cap, ByteSpan bytes) {
+                          respond(created_reply(wire::kCreateFrom, message_id,
+                                                cap, bytes));
+                        });
+      return;
     }
     case wire::kStats: {
-      {
-        const auto lock = lock_shared();
-        const auto verified = verify(request.target, rights::kAdmin);
-        if (!verified.ok()) return rpc::Reply::error(verified.code());
-      }
+      if (denied(rights::kAdmin, false)) return;
       Writer w(wire::ServerStats::kWireSize);
       stats().encode(w);
-      return rpc::Reply::success(std::move(w).take());
+      return respond(rpc::Reply::success(std::move(w).take()));
     }
     case wire::kSync: {
-      {
-        const auto lock = lock_shared();
-        const auto verified = verify(request.target, rights::kAdmin);
-        if (!verified.ok()) return rpc::Reply::error(verified.code());
-      }
-      return to_reply(sync());
+      if (denied(rights::kAdmin, false)) return;
+      return respond(to_reply(sync()));
     }
     case wire::kCompactDisk: {
-      {
-        const auto lock = lock_shared();
-        const auto verified = verify(request.target, rights::kAdmin);
-        if (!verified.ok()) return rpc::Reply::error(verified.code());
-      }
-      auto moved = compact_disk();
-      if (!moved.ok()) return rpc::Reply::error(moved.code());
-      Writer w(8);
-      w.u64(moved.value());
-      return rpc::Reply::success(std::move(w).take());
+      if (denied(rights::kAdmin, false)) return;
+      compact_disk_async(
+          [respond = std::move(respond)](Result<std::uint64_t> moved) {
+            if (!moved.ok()) return respond(rpc::Reply::error(moved.code()));
+            Writer w(8);
+            w.u64(moved.value());
+            respond(rpc::Reply::success(std::move(w).take()));
+          });
+      return;
     }
     case wire::kFsck: {
-      {
-        const auto lock = lock_shared();
-        const auto verified = verify(request.target, rights::kAdmin);
-        if (!verified.ok()) return rpc::Reply::error(verified.code());
-      }
+      if (denied(rights::kAdmin, false)) return;
       Writer w(5 * 8);
       check_consistency().encode(w);
-      return rpc::Reply::success(std::move(w).take());
+      return respond(rpc::Reply::success(std::move(w).take()));
     }
     case wire::kStats2: {
-      if (!body.done()) return rpc::Reply::error(ErrorCode::bad_argument);
-      {
-        const auto lock = lock_shared();
-        const auto verified = verify(request.target, rights::kAdmin);
-        if (!verified.ok()) return rpc::Reply::error(verified.code());
-      }
+      if (!body.done()) return bad();
+      if (denied(rights::kAdmin, false)) return;
       Writer w;
       w.str(metrics_text());
-      return rpc::Reply::success(std::move(w).take());
+      return respond(rpc::Reply::success(std::move(w).take()));
     }
     case wire::kTraceDump: {
       auto threshold_ns = body.u64();
       auto max_spans = threshold_ns.ok()
                            ? body.u32()
                            : Result<std::uint32_t>(threshold_ns.error());
-      if (!max_spans.ok() || !body.done()) {
-        return rpc::Reply::error(ErrorCode::bad_argument);
-      }
-      {
-        const auto lock = lock_shared();
-        const auto verified = verify(request.target, rights::kAdmin);
-        if (!verified.ok()) return rpc::Reply::error(verified.code());
-      }
+      if (!max_spans.ok() || !body.done()) return bad();
+      if (denied(rights::kAdmin, false)) return;
       // Note the sink is process-wide (traces cross transport and server
       // layers), so a dump through any server drains all of them.
       const auto spans = obs::TraceSink::instance().drain(threshold_ns.value(),
@@ -230,230 +256,33 @@ rpc::Reply BulletServer::handle(const rpc::Request& request) {
         out.dur_ns = s.dur_ns;
         out.encode(w);
       }
-      return rpc::Reply::success(std::move(w).take());
+      return respond(rpc::Reply::success(std::move(w).take()));
     }
     case wire::kReplicate: {
       // Peer-originated replication traffic, sealed with the pair's shared
       // admin capability (the peer addresses our super capability).
-      {
-        const auto lock = lock_shared();
-        const auto verified = verify(request.target, rights::kAdmin);
-        if (!verified.ok()) return rpc::Reply::error(verified.code());
-        if (verified.value() != 0) {
-          return rpc::Reply::error(ErrorCode::bad_argument);
-        }
-      }
-      return handle_replicate(request);
+      if (denied(rights::kAdmin, true)) return;
+      handle_replicate(request, std::move(respond));
+      return;
     }
     case wire::kReplResync: {
-      if (!body.done()) return rpc::Reply::error(ErrorCode::bad_argument);
-      {
-        const auto lock = lock_shared();
-        const auto verified = verify(request.target, rights::kAdmin);
-        if (!verified.ok()) return rpc::Reply::error(verified.code());
-        if (verified.value() != 0) {
-          return rpc::Reply::error(ErrorCode::bad_argument);
-        }
-      }
-      return handle_repl_resync();
+      if (!body.done()) return bad();
+      if (denied(rights::kAdmin, true)) return;
+      return respond(handle_repl_resync());
     }
     case wire::kShardMap: {
       // Cluster placement administration, sealed with the cluster's shared
       // admin capability like kReplicate.
-      {
-        const auto lock = lock_shared();
-        const auto verified = verify(request.target, rights::kAdmin);
-        if (!verified.ok()) return rpc::Reply::error(verified.code());
-        if (verified.value() != 0) {
-          return rpc::Reply::error(ErrorCode::bad_argument);
-        }
-      }
-      return handle_shard_map(request);
+      if (denied(rights::kAdmin, true)) return;
+      return respond(handle_shard_map(request));
     }
     case wire::kRestrict: {
       auto new_rights = body.u8();
-      if (!new_rights.ok() || !body.done()) {
-        return rpc::Reply::error(ErrorCode::bad_argument);
-      }
-      auto cap = restrict(request.target, new_rights.value());
-      if (!cap.ok()) return rpc::Reply::error(cap.code());
-      Writer w(Capability::kWireSize);
-      cap.value().encode(w);
-      return rpc::Reply::success(std::move(w).take());
+      if (!new_rights.ok() || !body.done()) return bad();
+      return respond(cap_reply(restrict(request.target, new_rights.value())));
     }
     default:
-      return rpc::Reply::error(ErrorCode::not_supported);
-  }
-}
-
-void BulletServer::handle_async(const rpc::Request& request,
-                                rpc::Responder respond) {
-  switch (request.opcode) {
-    case wire::kRead:
-    case wire::kReadRange:
-    case wire::kCreate:
-    case wire::kCompactDisk:
-      break;  // continuation forms below
-    default:
-      // Everything else answers synchronously; the adapter keeps the
-      // exactly-once respond contract.
-      respond(handle(request));
-      return;
-  }
-
-  // `request` dies when this call returns, so each continuation copies out
-  // what it needs before parking. The kHandle span and the service-latency
-  // sample are recorded manually at completion (a ScopedSpan cannot
-  // straddle a parked request); like the sync path, both fire only for
-  // sampled requests — the transport created the trace before dispatching
-  // here, and the continuation machinery suspends/resumes it across the
-  // disk queue.
-  obs::LatencyHistogram* latency = nullptr;
-  switch (request.opcode) {
-    case wire::kRead:
-    case wire::kReadRange:
-      latency = &read_latency_ns_;
-      break;
-    case wire::kCreate:
-      latency = &create_latency_ns_;
-      break;
-  }
-  const std::uint64_t t0 = obs::now_ns();
-  auto finish_span = [latency, t0]() {
-    if (auto* trace = obs::RequestTrace::current()) {
-      const std::uint64_t dur = obs::now_ns() - t0;
-      trace->add_span(obs::Stage::kHandle, t0, dur);
-      if (latency != nullptr) latency->record(dur);
-    }
-  };
-
-  Reader body(request.body);
-  switch (request.opcode) {
-    case wire::kRead: {
-      if (!body.done()) {
-        finish_span();
-        respond(rpc::Reply::error(ErrorCode::bad_argument));
-        return;
-      }
-      read_pinned_async(
-          request.target,
-          [respond = std::move(respond), finish_span](Result<PinnedFile> data) {
-            if (!data.ok()) {
-              finish_span();
-              respond(rpc::Reply::error(data.code()));
-              return;
-            }
-            Writer w(4);
-            w.u32(static_cast<std::uint32_t>(data.value().data.size()));
-            finish_span();
-            respond(rpc::Reply::success_borrowed(
-                std::move(w).take(), data.value().data,
-                std::move(data.value().retainer)));
-          });
-      return;
-    }
-    case wire::kReadRange: {
-      auto offset = body.u32();
-      auto length = offset.ok() ? body.u32() : offset;
-      if (!length.ok() || !body.done()) {
-        finish_span();
-        respond(rpc::Reply::error(ErrorCode::bad_argument));
-        return;
-      }
-      read_range_pinned_async(
-          request.target, offset.value(), length.value(),
-          [respond = std::move(respond), finish_span](Result<PinnedFile> data) {
-            if (!data.ok()) {
-              finish_span();
-              respond(rpc::Reply::error(data.code()));
-              return;
-            }
-            Writer w(4);
-            w.u32(static_cast<std::uint32_t>(data.value().data.size()));
-            finish_span();
-            respond(rpc::Reply::success_borrowed(
-                std::move(w).take(), data.value().data,
-                std::move(data.value().retainer)));
-          });
-      return;
-    }
-    case wire::kCreate: {
-      auto pfactor = body.u8();
-      auto data = pfactor.ok() ? body.blob() : Result<ByteSpan>(pfactor.error());
-      if (!data.ok() || !body.done()) {
-        finish_span();
-        respond(rpc::Reply::error(ErrorCode::bad_argument));
-        return;
-      }
-      {
-        rpc::Reply recorded;
-        if (dedup_lookup(request.message_id, &recorded)) {
-          finish_span();
-          respond(std::move(recorded));
-          return;
-        }
-      }
-      {
-        const auto lock = lock_shared();
-        const auto verified = verify(request.target, rights::kWrite);
-        if (!verified.ok()) {
-          finish_span();
-          respond(rpc::Reply::error(verified.code()));
-          return;
-        }
-        if (verified.value() != 0) {
-          finish_span();
-          respond(rpc::Reply::error(ErrorCode::bad_argument));
-          return;
-        }
-      }
-      // The payload must outlive the request: hand create_async an owned
-      // copy (this is the one copy the async create path makes).
-      Bytes owned(data.value().begin(), data.value().end());
-      create_async(
-          std::move(owned), pfactor.value(),
-          [this, respond = std::move(respond), finish_span,
-           message_id = request.message_id](Result<Capability> cap) {
-            if (!cap.ok()) {
-              finish_span();
-              respond(rpc::Reply::error(cap.code()));
-              return;
-            }
-            replicate_create(cap.value().object, message_id);
-            Writer w(Capability::kWireSize);
-            cap.value().encode(w);
-            dedup_record(message_id, wire::kCreate, w.data(),
-                         cap.value().object,
-                         object_random(cap.value().object));
-            finish_span();
-            respond(rpc::Reply::success(std::move(w).take()));
-          });
-      return;
-    }
-    case wire::kCompactDisk: {
-      {
-        const auto lock = lock_shared();
-        const auto verified = verify(request.target, rights::kAdmin);
-        if (!verified.ok()) {
-          finish_span();
-          respond(rpc::Reply::error(verified.code()));
-          return;
-        }
-      }
-      compact_disk_async([respond = std::move(respond),
-                          finish_span](Result<std::uint64_t> moved) {
-        if (!moved.ok()) {
-          finish_span();
-          respond(rpc::Reply::error(moved.code()));
-          return;
-        }
-        Writer w(8);
-        w.u64(moved.value());
-        finish_span();
-        respond(rpc::Reply::success(std::move(w).take()));
-      });
-      return;
-    }
+      return respond(rpc::Reply::error(ErrorCode::not_supported));
   }
 }
 

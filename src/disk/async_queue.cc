@@ -14,6 +14,9 @@ std::uint64_t steady_ns() noexcept {
           .count());
 }
 
+// The queue whose op or completion the current thread is running, if any.
+thread_local const AsyncDiskQueue* t_running = nullptr;
+
 }  // namespace
 
 AsyncDiskQueue::AsyncDiskQueue(BlockDevice* device, unsigned threads)
@@ -76,7 +79,15 @@ void AsyncDiskQueue::enqueue(Op op) {
   cv_.notify_one();
 }
 
+bool AsyncDiskQueue::in_completion() const noexcept {
+  return t_running == this;
+}
+
 void AsyncDiskQueue::run(Op& op) {
+  // Inline completions nest (a completion may submit to this or another
+  // queue), so restore the outer marker rather than clearing it.
+  const AsyncDiskQueue* const outer = t_running;
+  t_running = this;
   DiskOpTiming timing;
   timing.submit_ns = op.submit_ns;
   timing.start_ns = steady_ns();
@@ -86,6 +97,7 @@ void AsyncDiskQueue::run(Op& op) {
   // continuation (which may itself submit follow-up work — that submission
   // bumps inflight before this decrement can release a drainer).
   if (op.done) op.done(st, timing);
+  t_running = outer;
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.completed;

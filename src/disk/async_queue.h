@@ -87,6 +87,12 @@ class AsyncDiskQueue {
   // waits for that too.
   void drain();
 
+  // True while the calling thread is executing one of this queue's ops or
+  // completions: a pool thread, or the submitter itself in inline mode. A
+  // thread in that state must never block waiting for more of this
+  // queue's work, which could only run after it returns.
+  bool in_completion() const noexcept;
+
   unsigned threads() const noexcept { return thread_count_; }
   BlockDevice* device() const noexcept { return device_; }
   Stats stats() const;

@@ -536,6 +536,9 @@ struct UdpServer::Impl : std::enable_shared_from_this<UdpServer::Impl> {
       finish(ctx, Reply::error(ErrorCode::unreachable));
       return ctx;
     }
+    // Read before dispatch: once a request parks, finish() may destroy
+    // the trace on a completion thread at any moment.
+    const obs::RequestTrace* const trace = ctx->trace.get();
     service->handle_async(request.value(), [ctx](Reply&& reply) {
       ctx->impl->finish(ctx, std::move(reply));
     });
@@ -543,7 +546,7 @@ struct UdpServer::Impl : std::enable_shared_from_this<UdpServer::Impl> {
     // before releasing this thread), detach it here so this thread does
     // not carry a stale TLS pointer into the next request it dispatches.
     if (!ctx->completed.load(std::memory_order_acquire) &&
-        obs::RequestTrace::current() == ctx->trace.get()) {
+        obs::RequestTrace::current() == trace) {
       (void)obs::RequestTrace::suspend();
     }
     return ctx;
@@ -921,6 +924,9 @@ struct UdpTransport::Impl {
   int fd = -1;
   UdpClientOptions options;
   sockaddr_in server{};
+  // Held for a whole call(): the socket, the message id sequence and the
+  // reply wait belong to one caller at a time.
+  std::mutex call_mu;
   std::uint64_t next_message_id = 1;
 
   ~Impl() {
@@ -988,6 +994,7 @@ int backoff_timeout_ms(const UdpClientOptions& options, int attempt) {
 }
 
 Result<Reply> UdpTransport::call(const Request& request) {
+  std::lock_guard<std::mutex> call_lock(impl_->call_mu);
   const std::uint64_t message_id = impl_->next_message_id++;
   Bytes wire = request.encode();
   // With a deadline, the trailer's last 8 bytes are the remaining budget;
@@ -1011,7 +1018,7 @@ Result<Reply> UdpTransport::call(const Request& request) {
       store_le_u64(wire.data() + wire.size() - 8,
                    static_cast<std::uint64_t>(remaining_us));
     }
-    if (attempt > 0) ++retransmissions_;
+    if (attempt > 0) retransmissions_.fetch_add(1, std::memory_order_relaxed);
     int timeout_ms = backoff_timeout_ms(impl_->options, attempt);
     if (has_deadline) {
       timeout_ms = static_cast<int>(std::min<std::int64_t>(
@@ -1036,7 +1043,7 @@ Result<Reply> UdpTransport::call(const Request& request) {
     // and resend; the same message id is reused, which is safe because
     // nothing was executed or cached, and keeps the dedup guarantees if a
     // stale earlier copy is still in flight.
-    ++pushbacks_;
+    pushbacks_.fetch_add(1, std::memory_order_relaxed);
     std::int64_t sleep_ms =
         pushback_retry_after_ms(reply, backoff_timeout_ms(impl_->options,
                                                           attempt));

@@ -193,7 +193,10 @@ struct UdpClientOptions {
 // tests can pin the schedule down.
 int backoff_timeout_ms(const UdpClientOptions& options, int attempt);
 
-// A Transport whose call() crosses the loopback network.
+// A Transport whose call() crosses the loopback network. One connection
+// is one socket with one outstanding call: concurrent callers (a server's
+// peer link, shared by UDP workers and disk-completion threads) are
+// serialized inside call(), so each gets its own reply.
 class UdpTransport final : public Transport {
  public:
   static Result<std::unique_ptr<UdpTransport>> connect(
@@ -212,17 +215,21 @@ class UdpTransport final : public Transport {
   // and resend; attempts spent this way still count against max_attempts.
   Result<Reply> call(const Request& request) override;
 
-  std::uint64_t retransmissions() const noexcept { return retransmissions_; }
+  std::uint64_t retransmissions() const noexcept {
+    return retransmissions_.load(std::memory_order_relaxed);
+  }
   // BS_PUSHBACK replies honored (slept and retried).
-  std::uint64_t pushbacks() const noexcept { return pushbacks_; }
+  std::uint64_t pushbacks() const noexcept {
+    return pushbacks_.load(std::memory_order_relaxed);
+  }
 
  private:
   struct Impl;
   explicit UdpTransport(std::unique_ptr<Impl> impl);
 
   std::unique_ptr<Impl> impl_;
-  std::uint64_t retransmissions_ = 0;
-  std::uint64_t pushbacks_ = 0;
+  std::atomic<std::uint64_t> retransmissions_{0};
+  std::atomic<std::uint64_t> pushbacks_{0};
 };
 
 }  // namespace bullet::rpc

@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <optional>
@@ -71,7 +72,7 @@ TEST(AsyncPipelineTest, InlineModeCompletesSynchronously) {
   const Bytes data = testing::payload(5000, 42);
 
   std::optional<Result<Capability>> created;
-  h.server().create_async(data, 2, [&](Result<Capability> cap) {
+  h.server().create_async(data, 2, [&](Result<Capability> cap, ByteSpan) {
     created = std::move(cap);
   });
   ASSERT_TRUE(created.has_value());
@@ -156,6 +157,143 @@ TEST(AsyncPipelineTest, ConcurrentMissesJoinOneFill) {
   EXPECT_EQ(0u, h.server().io_queue().stats().inline_completions);
 }
 
+// Every caller that needs a file's bytes goes through the one fill
+// machinery: while a READ miss is held in the device, CREATE-FROM on the
+// same source and the replication fetch of it join that fill instead of
+// reading the extent a second time into a second cache entry.
+TEST(AsyncPipelineTest, MixedCallersJoinOneFill) {
+  MemDisk main(512, 4096), mirror_disk(512, 4096);
+  ASSERT_OK(BulletServer::format(main, 256));
+  ASSERT_OK(mirror_disk.restore(main.snapshot()));
+  testing::GatedDisk gate(&main);
+  auto mirror = MirroredDisk::create({&gate, &mirror_disk});
+  ASSERT_TRUE(mirror.ok());
+  MirroredDisk disk = std::move(mirror).value();
+
+  const Bytes data = testing::payload(30000, 5);
+  Capability cap;
+  {
+    auto server = BulletServer::start(&disk, async_config(1));
+    ASSERT_TRUE(server.ok());
+    auto created = server.value()->create(data, 2);
+    ASSERT_TRUE(created.ok());
+    cap = created.value();
+  }
+  // Fresh boot: cold cache, one completion thread.
+  auto started = BulletServer::start(&disk, async_config(1));
+  ASSERT_TRUE(started.ok());
+  BulletServer& server = *started.value();
+  const auto objects = server.list_objects();
+  ASSERT_EQ(1u, objects.size());
+  gate.arm(objects[0].first_block, (data.size() + 511) / 512);
+  const std::uint64_t random = server.replica_manifest().files.at(0).random;
+
+  // The READ miss parks in the device.
+  Latch read_done(1);
+  std::optional<Result<BulletServer::PinnedFile>> read;
+  server.read_pinned_async(cap, [&](auto r) {
+    read = std::move(r);
+    read_done.count_down();
+  });
+  gate.wait_held(1);
+
+  const std::vector<wire::FileEdit> edits = {
+      wire::FileEdit::make_overwrite(10, Bytes{1, 2, 3}),
+      wire::FileEdit::make_append(Bytes{9, 9})};
+  std::optional<Result<Capability>> derived;
+  std::thread create_from([&] { derived = server.create_from(cap, edits, 1); });
+  std::optional<rpc::Reply> fetched;
+  std::thread fetch([&] {
+    rpc::Request request;
+    request.target = server.super_capability();
+    request.opcode = wire::kReplicate;
+    Writer w;
+    w.u8(wire::kReplFetch);
+    w.u32(cap.object);
+    w.u64(random);
+    request.body = std::move(w).take();
+    fetched = server.handle(request);
+  });
+  // Give both callers time to reach the fill (or, without fill joining,
+  // the device) before the held read completes.
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  gate.release();
+  create_from.join();
+  fetch.join();
+  read_done.wait();
+  server.io_queue().drain();
+
+  EXPECT_EQ(1u, gate.range_reads());
+  ASSERT_TRUE(read.has_value() && read->ok());
+  EXPECT_EQ(crc32c(data), crc32c(read->value().data));
+  ASSERT_TRUE(fetched.has_value());
+  ASSERT_EQ(ErrorCode::ok, fetched->status);
+  EXPECT_EQ(crc32c(data), crc32c(std::move(*fetched).take_payload()));
+  ASSERT_TRUE(derived.has_value() && derived->ok());
+  const auto expected = wire::apply_edits(data, edits);
+  ASSERT_TRUE(expected.ok());
+  const auto derived_bytes = server.read(derived->value());
+  ASSERT_TRUE(derived_bytes.ok());
+  EXPECT_EQ(crc32c(expected.value()), crc32c(derived_bytes.value()));
+  // One entry for the source, one for the derived file.
+  EXPECT_EQ(2u, server.cache().stats().entries);
+}
+
+// A create that found the arena pinned full stages its image outside the
+// cache; a read that joins it while the writes are queued is served from
+// that image once they land.
+TEST(AsyncPipelineTest, ReadJoiningABypassCreateGetsItsImage) {
+  MemDisk main(512, 4096);
+  ASSERT_OK(BulletServer::format(main, 256));
+  testing::GatedDisk gate(&main);
+  auto mirror = MirroredDisk::create({&gate});
+  ASSERT_TRUE(mirror.ok());
+  MirroredDisk disk = std::move(mirror).value();
+  BulletConfig config = async_config(1);
+  config.cache_bytes = 32 << 10;
+
+  const Bytes big = testing::payload(30000, 21);
+  Capability big_cap;
+  {
+    auto server = BulletServer::start(&disk, config);
+    ASSERT_TRUE(server.ok());
+    auto created = server.value()->create(big, 1);
+    ASSERT_TRUE(created.ok());
+    big_cap = created.value();
+  }
+  auto started = BulletServer::start(&disk, config);
+  ASSERT_TRUE(started.ok());
+  BulletServer& server = *started.value();
+  gate.arm(server.list_objects().at(0).first_block, (big.size() + 511) / 512);
+
+  // The held miss pins most of the arena and the only completion thread.
+  Latch big_done(1);
+  server.read_pinned_async(big_cap, [&](auto r) {
+    EXPECT_TRUE(r.ok() && crc32c(r.value().data) == crc32c(big));
+    big_done.count_down();
+  });
+  gate.wait_held(1);
+
+  // P-FACTOR 0 acks at once; its writes queue behind the held read.
+  const Bytes small = testing::payload(8000, 22);
+  auto small_cap = server.create(small, 0);
+  ASSERT_TRUE(small_cap.ok());
+  EXPECT_EQ(1u, server.stats().scratch_allocs);  // staged outside the arena
+  Latch small_done(1);
+  std::optional<Result<BulletServer::PinnedFile>> joined;
+  server.read_pinned_async(small_cap.value(), [&](auto r) {
+    joined = std::move(r);
+    small_done.count_down();
+  });
+
+  gate.release();
+  big_done.wait();
+  small_done.wait();
+  ASSERT_TRUE(joined->ok());
+  EXPECT_EQ(crc32c(small), crc32c(joined->value().data));
+  EXPECT_EQ(1u, gate.range_reads());
+}
+
 TEST(AsyncPipelineTest, EraseDuringFillDefersAndStaysConsistent) {
   BulletHarness h;
   h.reboot(async_config(0));
@@ -226,7 +364,7 @@ TEST(AsyncPipelineTest, StormWithIncrementalCompaction) {
         const std::uint32_t crc = crc32c(data);
         Latch latch(1);
         std::optional<Result<Capability>> created;
-        server.create_async(data, 1, [&](Result<Capability> cap) {
+        server.create_async(data, 1, [&](Result<Capability> cap, ByteSpan) {
           created = std::move(cap);
           latch.count_down();
         });

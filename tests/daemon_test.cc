@@ -74,6 +74,8 @@ class DaemonTest : public ::testing::Test {
   // high port varied by pid to avoid collisions between test runs).
   void start_daemon() {
     port_ = static_cast<int>(20000 + (getpid() % 20000));
+    // A restart must not find the previous daemon's banner.
+    std::remove(banner_.c_str());
     pid_ = fork();
     ASSERT_GE(pid_, 0);
     if (pid_ == 0) {

@@ -4,7 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <memory>
+#include <optional>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "bullet/client.h"
@@ -406,6 +410,162 @@ TEST(ReplicationTest, InstallRejectsNullSlotAndRandom) {
               status_of(h.server().install_object(0, 77, data, 0)));
   EXPECT_CODE(bad_argument,
               status_of(h.server().install_object(3, 0, data, 0)));
+}
+
+// Peer installs are exempt from the backup's disk-fill admission bound: a
+// shed install would fail the push and degrade the pair, so a backup whose
+// fill slots are all taken by held read misses must still accept them.
+TEST(ReplicationTest, InstallsBypassTheFillBoundOnTheBackup) {
+  BulletHarness a(single_disk());
+  a.reboot(config_with_seed(0xA));
+  MemDisk b_disk(512, 4096);
+  ASSERT_OK(BulletServer::format(b_disk, 256));
+  testing::GatedDisk gate(&b_disk);
+  auto b_mirror = MirroredDisk::create({&gate});
+  ASSERT_TRUE(b_mirror.ok());
+  MirroredDisk b_store = std::move(b_mirror).value();
+
+  rpc::LoopbackTransport client_link, peer_of_a, peer_of_b;
+  ASSERT_OK(client_link.register_service(&a.server()));
+  ASSERT_OK(peer_of_b.register_service(&a.server()));
+  BulletClient client(&client_link, a.server().super_capability());
+  client.enable_message_ids(0xF11);
+
+  // Two files on both sides, then a cold restart of the backup with one
+  // fill slot and two completion threads (one to hold, one to install).
+  Capability held, other;
+  {
+    auto b = BulletServer::start(&b_store, config_with_seed(0xB));
+    ASSERT_TRUE(b.ok());
+    ASSERT_OK(peer_of_a.register_service(b.value().get()));
+    a.server().attach_replica(&peer_of_a, BulletServer::ReplRole::kPrimary);
+    b.value()->attach_replica(&peer_of_b, BulletServer::ReplRole::kBackup);
+    auto c1 = client.create(payload(8000, 1), 1);
+    auto c2 = client.create(payload(8000, 2), 1);
+    ASSERT_OK(status_of(c1));
+    ASSERT_OK(status_of(c2));
+    held = c1.value();
+    other = c2.value();
+    ASSERT_OK(peer_of_a.unregister_service(b.value()->public_port()));
+  }
+  BulletConfig bounded = config_with_seed(0xB);
+  bounded.io_threads = 2;
+  bounded.max_inflight_fills = 1;
+  auto started = BulletServer::start(&b_store, bounded);
+  ASSERT_TRUE(started.ok());
+  BulletServer& b = *started.value();
+  ASSERT_OK(peer_of_a.register_service(&b));
+  b.attach_replica(&peer_of_b, BulletServer::ReplRole::kBackup);
+
+  // Occupy the backup's only fill slot with a read held in the device.
+  for (const auto& info : b.list_objects()) {
+    if (info.object == held.object) gate.arm(info.first_block, 8000 / 512 + 1);
+  }
+  std::atomic<bool> held_ok{false};
+  std::atomic<bool> held_done{false};
+  b.read_pinned_async(held, [&](Result<BulletServer::PinnedFile> r) {
+    held_ok = r.ok() && r.value().data.size() == 8000;
+    held_done = true;
+  });
+  gate.wait_held(1);
+  // The bound is live: a second read miss is shed.
+  std::optional<ErrorCode> shed;
+  b.read_pinned_async(other, [&](Result<BulletServer::PinnedFile> r) {
+    shed = r.ok() ? ErrorCode::ok : r.code();
+  });
+  ASSERT_TRUE(shed.has_value());
+  EXPECT_EQ(ErrorCode::retry_later, *shed);
+
+  // Creates on the primary are still pushed and acked.
+  const std::uint64_t failures_before = a.server().stats().repl_push_failures;
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_OK(status_of(client.create(payload(3000, 10 + i), 1)));
+  }
+  EXPECT_TRUE(a.server().repl_status().peer_healthy);
+  EXPECT_EQ(failures_before, a.server().stats().repl_push_failures);
+  EXPECT_NE(std::string::npos,
+            a.server().metrics_text().find(
+                "bullet_repl_push_failures_total 0\n"));
+  EXPECT_EQ(3u, b.stats().repl_installs);
+
+  gate.release();
+  b.io_queue().drain();
+  EXPECT_TRUE(held_done.load());
+  EXPECT_TRUE(held_ok.load());
+  a.server().detach_replica();
+}
+
+// An install's capability is known before its writes land (the peer issued
+// it), so a client can read the file mid-install. When the install's write
+// then fails, a read that joined it gets the error instead of hanging.
+TEST(ReplicationTest, FailedInstallAnswersReadsThatJoinedIt) {
+  // The file to install sits in A's slot 2; B's own file takes slot 1.
+  BulletHarness a(single_disk());
+  ASSERT_OK(status_of(a.server().create(payload(10, 4), 1)));
+  const Bytes data = payload(8000, 5);
+  auto cap = a.server().create(data, 1);
+  ASSERT_OK(status_of(cap));
+  const std::uint64_t random = a.server().replica_manifest().files.at(1).random;
+
+  MemDisk b_disk(512, 4096);
+  ASSERT_OK(BulletServer::format(b_disk, 256));
+  testing::GatedDisk gate(&b_disk);
+  auto b_mirror = MirroredDisk::create({&gate});
+  ASSERT_TRUE(b_mirror.ok());
+  MirroredDisk b_store = std::move(b_mirror).value();
+  BulletConfig config = config_with_seed(0xB);
+  config.cache_bytes = 32 << 10;
+  config.io_threads = 1;
+  const Bytes big = payload(30000, 6);
+  Capability big_cap;
+  {
+    auto b = BulletServer::start(&b_store, config);
+    ASSERT_TRUE(b.ok());
+    auto created = b.value()->create(big, 1);
+    ASSERT_OK(status_of(created));
+    big_cap = created.value();
+  }
+  auto started = BulletServer::start(&b_store, config);
+  ASSERT_TRUE(started.ok());
+  BulletServer& b = *started.value();
+
+  // A held miss pins most of B's arena and its only completion thread, so
+  // the install stages outside the cache and its write waits in the queue.
+  gate.arm(b.list_objects().at(0).first_block, (big.size() + 511) / 512);
+  std::atomic<bool> big_done{false};
+  b.read_pinned_async(big_cap, [&](auto) { big_done = true; });
+  gate.wait_held(1);
+  gate.fail_writes(true);
+  std::optional<Result<Capability>> installed;
+  std::atomic<bool> install_returned{false};
+  std::thread install([&] {
+    installed = b.install_object(cap.value().object, random, data, 0);
+    install_returned = true;
+  });
+  while (b.list_objects().size() < 2 && !install_returned.load()) {
+    std::this_thread::yield();
+  }
+  if (install_returned.load()) {
+    install.join();
+    FAIL() << "the install did not wait on its disk write";
+  }
+
+  std::atomic<bool> joined_done{false};
+  std::optional<ErrorCode> joined;
+  b.read_pinned_async(cap.value(), [&](Result<BulletServer::PinnedFile> r) {
+    joined = r.ok() ? ErrorCode::ok : r.code();
+    joined_done = true;
+  });
+  gate.release();
+  install.join();
+  b.io_queue().drain();
+
+  ASSERT_TRUE(installed.has_value());
+  EXPECT_CODE(io_error, status_of(*installed));
+  ASSERT_TRUE(joined_done.load());
+  EXPECT_EQ(ErrorCode::io_error, *joined);
+  EXPECT_TRUE(big_done.load());
+  EXPECT_EQ(1u, b.live_files());
 }
 
 // --- mixed versions -----------------------------------------------------

@@ -5,7 +5,9 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -102,6 +104,76 @@ class BulletHarness {
   std::vector<std::unique_ptr<MemDisk>> disks_;
   std::unique_ptr<MirroredDisk> mirror_;
   std::unique_ptr<BulletServer> server_;
+};
+
+// A BlockDevice decorator that holds every read overlapping an armed block
+// range until release(), and counts those reads. Lets a test keep an async
+// cache fill in flight for as long as it needs to race other callers
+// against it. fail_writes() makes every write fail with an I/O error.
+class GatedDisk final : public BlockDevice {
+ public:
+  explicit GatedDisk(BlockDevice* inner) : inner_(inner) {}
+
+  std::uint64_t block_size() const noexcept override {
+    return inner_->block_size();
+  }
+  std::uint64_t num_blocks() const noexcept override {
+    return inner_->num_blocks();
+  }
+
+  void arm(std::uint64_t first_block, std::uint64_t blocks) {
+    std::lock_guard<std::mutex> lock(mu_);
+    first_ = first_block;
+    blocks_ = blocks;
+    open_ = false;
+  }
+  void release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    open_ = true;
+    cv_.notify_all();
+  }
+  // Block until `n` reads of the armed range are being held.
+  void wait_held(int n) {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return held_ >= n; });
+  }
+  std::uint64_t range_reads() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return range_reads_;
+  }
+  void fail_writes(bool fail) { fail_writes_ = fail; }
+
+  Status read(std::uint64_t first_block, MutableByteSpan out) override {
+    const std::uint64_t blocks = out.size() / block_size();
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      if (blocks_ > 0 && first_block < first_ + blocks_ &&
+          first_ < first_block + blocks) {
+        ++range_reads_;
+        ++held_;
+        cv_.notify_all();
+        cv_.wait(lock, [&] { return open_; });
+        --held_;
+      }
+    }
+    return inner_->read(first_block, out);
+  }
+  Status write(std::uint64_t first_block, ByteSpan data) override {
+    if (fail_writes_) return Error(ErrorCode::io_error, "injected");
+    return inner_->write(first_block, data);
+  }
+  Status flush() override { return inner_->flush(); }
+
+ private:
+  BlockDevice* inner_;
+  mutable std::mutex mu_;
+  std::condition_variable cv_;
+  std::uint64_t first_ = 0;
+  std::uint64_t blocks_ = 0;
+  bool open_ = true;
+  std::atomic<bool> fail_writes_{false};
+  int held_ = 0;
+  std::uint64_t range_reads_ = 0;
 };
 
 // Deterministic payload of `n` bytes derived from `seed`.

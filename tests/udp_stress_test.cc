@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <thread>
+#include <vector>
 
 #include "bullet/client.h"
 #include "bullet/server.h"
@@ -156,6 +157,48 @@ TEST(UdpStressTest, InterleavedLargeTransfers) {
 
 TEST(UdpStressTest, InterleavedLargeTransfersWorkerPool) {
   run_large_transfer_storm(/*workers=*/2);
+}
+
+// One connection shared by many threads, as a server's peer link is shared
+// by its UDP workers and disk-completion threads: every caller must get
+// the reply to its own request.
+TEST(UdpStressTest, SharedConnectionGivesEachCallerItsOwnReply) {
+  BulletHarness h;
+  rpc::UdpServerOptions server_options;
+  server_options.workers = 4;
+  auto udp = rpc::UdpServer::start(server_options);
+  ASSERT_TRUE(udp.ok());
+  ASSERT_OK(udp.value()->register_service(&h.server()));
+  rpc::UdpClientOptions client_options;
+  client_options.server_udp_port = udp.value()->port();
+  client_options.timeout_ms = 1000;
+  auto transport = rpc::UdpTransport::connect(client_options);
+  ASSERT_TRUE(transport.ok());
+
+  constexpr int kThreads = 8;
+  std::atomic<int> failures{0};
+  auto caller = [&](std::uint64_t seed) {
+    BulletClient client(transport.value().get(),
+                        h.server().super_capability());
+    for (int i = 0; i < 10; ++i) {
+      const Bytes data = testing::payload(1 + (seed * 131 + i * 977) % 6000,
+                                          seed * 100 + i);
+      auto cap = client.create(data, 1);
+      if (!cap.ok()) {
+        ++failures;
+        continue;
+      }
+      auto back = client.read(cap.value());
+      if (!back.ok() || !equal(data, back.value())) ++failures;
+    }
+  };
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) threads.emplace_back(caller, t + 1);
+  for (auto& thread : threads) thread.join();
+
+  EXPECT_EQ(0, failures.load());
+  EXPECT_EQ(static_cast<std::uint64_t>(kThreads * 10), h.server().live_files());
+  udp.value()->stop();
 }
 
 }  // namespace
