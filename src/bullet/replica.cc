@@ -12,6 +12,11 @@
 // Lock discipline: repl_mu_ is a leaf — never held while acquiring
 // state_mu_ and never held across a peer RPC (two replicas pushing to each
 // other from worker threads would deadlock otherwise).
+//
+// Thread discipline: pushes run on the push lane, never on a UDP worker or
+// a disk-queue thread, because those serve the peer's pushes to us. A
+// push's wait then never depends on a thread that is itself waiting for a
+// push, whichever side the clients write to.
 #include <algorithm>
 #include <map>
 #include <set>
@@ -81,11 +86,30 @@ void BulletServer::set_alloc_direction_locked(ReplRole role) {
   // inode table, the backup from the top, so creates accepted on both
   // sides of a partition never collide on a slot until the table is more
   // than half full.
+  alloc_role_ = role;
   if (role == ReplRole::kBackup) {
     std::sort(free_inodes_.begin(), free_inodes_.end());  // back() = highest
   } else {
     std::sort(free_inodes_.begin(), free_inodes_.end(),
               std::greater<std::uint32_t>());  // back() = lowest
+  }
+}
+
+void BulletServer::release_slot_locked(std::uint32_t index) {
+  // Solo: the freed slot is reused next. In a pair the list stays sorted,
+  // so back() remains at this side's end of the table: a freed slot that
+  // jumped the queue would be reused by both sides at once and collide.
+  if (alloc_role_ == ReplRole::kSolo) {
+    free_inodes_.push_back(index);
+  } else if (alloc_role_ == ReplRole::kBackup) {
+    free_inodes_.insert(
+        std::lower_bound(free_inodes_.begin(), free_inodes_.end(), index),
+        index);
+  } else {
+    free_inodes_.insert(std::lower_bound(free_inodes_.begin(),
+                                         free_inodes_.end(), index,
+                                         std::greater<std::uint32_t>()),
+                        index);
   }
 }
 
@@ -296,15 +320,44 @@ Result<Bytes> BulletServer::peer_call(Bytes body) {
   return std::move(reply.value()).take_payload();
 }
 
-void BulletServer::replicate_create(std::uint32_t object, std::uint64_t random,
-                                    ByteSpan data, std::uint64_t message_id) {
-  {
-    std::lock_guard lock(repl_mu_);
-    if (repl_.peer == nullptr || repl_.role == ReplRole::kSolo ||
-        repl_.peer_incompatible || !repl_.peer_healthy) {
-      return;  // solo / degraded: resync reconciles later
+bool BulletServer::pushing() const {
+  std::lock_guard lock(repl_mu_);
+  // Solo / degraded: resync reconciles later.
+  return repl_.peer != nullptr && repl_.role != ReplRole::kSolo &&
+         !repl_.peer_incompatible && repl_.peer_healthy;
+}
+
+void BulletServer::push_then(Bytes push, std::function<void()> then) {
+  auto task = [this, push = std::move(push),
+               then = std::move(then)]() mutable {
+    // Re-check: an earlier push on the lane may have degraded the pair,
+    // and the pushes queued behind it must not each wait out a timeout.
+    if (pushing()) {
+      if (peer_call(std::move(push)).ok()) {
+        ++repl_pushes_;
+      } else {
+        ++repl_push_failures_;
+      }
     }
-  }
+    then();
+  };
+  if (push_lane_.threads() == 0) return task();
+  // The request's trace moves to the lane with the push and the reply.
+  push_lane_.submit_job(
+      [task = std::move(task),
+       trace = obs::RequestTrace::suspend()]() mutable -> Status {
+        obs::RequestTrace::resume(trace);
+        task();
+        (void)obs::RequestTrace::suspend();
+        return Status::success();
+      },
+      nullptr);
+}
+
+void BulletServer::replicate_create(std::uint32_t object, std::uint64_t random,
+                                    ByteSpan data, std::uint64_t message_id,
+                                    std::function<void()> then) {
+  if (random == 0 || !pushing()) return then();
   Writer w(1 + 4 + 8 + 8 + 1 + 4 + data.size());
   w.u8(wire::kReplInstall);
   w.u32(object);
@@ -312,37 +365,22 @@ void BulletServer::replicate_create(std::uint32_t object, std::uint64_t random,
   w.u64(message_id);
   w.u8(static_cast<std::uint8_t>(kInstallPfactor));
   w.blob(data);
-  const auto pushed = peer_call(std::move(w).take());
-  if (pushed.ok()) {
-    ++repl_pushes_;
-  } else {
-    ++repl_push_failures_;
-  }
+  push_then(std::move(w).take(), std::move(then));
 }
 
 void BulletServer::replicate_erase(std::uint32_t object, std::uint64_t random,
-                                   std::uint64_t message_id) {
+                                   std::uint64_t message_id,
+                                   std::function<void()> then) {
   // Tombstone first: if the push below is lost, resync replays the delete
   // instead of resurrecting the file from the peer's copy.
   record_tombstone(object, random & kMask48);
-  {
-    std::lock_guard lock(repl_mu_);
-    if (repl_.peer == nullptr || repl_.role == ReplRole::kSolo ||
-        repl_.peer_incompatible || !repl_.peer_healthy) {
-      return;
-    }
-  }
+  if (!pushing()) return then();
   Writer w(1 + 4 + 8 + 8);
   w.u8(wire::kReplErase);
   w.u32(object);
   w.u64(random & kMask48);
   w.u64(message_id);
-  const auto pushed = peer_call(std::move(w).take());
-  if (pushed.ok()) {
-    ++repl_pushes_;
-  } else {
-    ++repl_push_failures_;
-  }
+  push_then(std::move(w).take(), std::move(then));
 }
 
 // --- resync --------------------------------------------------------------

@@ -97,6 +97,7 @@ BulletServer::BulletServer(MirroredDisk* disk, BulletConfig config,
       // Block-aligned arena: cache allocations round up to device blocks
       // so create/miss traffic moves directly between disk and arena.
       cache_(config.cache_bytes, layout.block_size()),
+      push_lane_(nullptr, config.io_threads > 0 ? 1 : 0),
       io_(disk, config.io_threads) {
   // The super capability's random is derived from the server secret so it
   // is stable across reboots without being stored on disk.
@@ -484,41 +485,39 @@ Result<ByteSpan> BulletServer::cache_view(const Capability& cap,
 }
 
 void BulletServer::read_pinned_async(const Capability& cap, ReadCallback done) {
-  // Fast path, shared lock only: capability check against the inode table,
-  // then one cache lookup that touches LRU and pins in a single
-  // acquisition. Immutability does the rest — nothing to copy, nothing to
-  // coordinate with other readers.
-  {
-    std::optional<Result<PinnedFile>> immediate;
-    {
-      const auto lock = lock_shared();
-      const Result<std::uint32_t> verified = verify(cap, rights::kRead);
-      if (!verified.ok()) {
-        immediate = verified.error();
-      } else if (verified.value() == 0) {
-        immediate =
-            Error(ErrorCode::bad_argument, "server object holds no data");
-      } else {
-        const std::uint32_t index = verified.value();
-        const RnodeIndex hint = inodes_[index].cache_index;
-        if (hint != 0) {
-          obs::ScopedSpan cache_span(obs::Stage::kCache);
-          const std::optional<ByteSpan> span = cache_.touch_and_pin(hint, index);
-          if (span.has_value()) {
-            ++cache_hits_;
-            ++reads_;
-            bytes_served_ += span->size();
-            immediate = PinnedFile{*span, make_retainer(hint)};
-          }
-        }
-      }
-    }
-    if (immediate.has_value()) {
-      done(std::move(*immediate));
-      return;
-    }
+  if (auto hit = read_hit(cap)) {
+    done(std::move(*hit));
+    return;
   }
+  read_miss_async(cap, std::move(done));
+}
 
+std::optional<Result<BulletServer::PinnedFile>> BulletServer::read_hit(
+    const Capability& cap) {
+  // Shared lock only: capability check against the inode table, then one
+  // cache lookup that touches LRU and pins in a single acquisition.
+  // Immutability does the rest — nothing to copy, nothing to coordinate
+  // with other readers.
+  const auto lock = lock_shared();
+  const Result<std::uint32_t> verified = verify(cap, rights::kRead);
+  if (!verified.ok()) return Result<PinnedFile>(verified.error());
+  if (verified.value() == 0) {
+    return Result<PinnedFile>(
+        Error(ErrorCode::bad_argument, "server object holds no data"));
+  }
+  const std::uint32_t index = verified.value();
+  const RnodeIndex hint = inodes_[index].cache_index;
+  if (hint == 0) return std::nullopt;
+  obs::ScopedSpan cache_span(obs::Stage::kCache);
+  const std::optional<ByteSpan> span = cache_.touch_and_pin(hint, index);
+  if (!span.has_value()) return std::nullopt;
+  ++cache_hits_;
+  ++reads_;
+  bytes_served_ += span->size();
+  return Result<PinnedFile>(PinnedFile{*span, make_retainer(hint)});
+}
+
+void BulletServer::read_miss_async(const Capability& cap, ReadCallback done) {
   // Miss: register (or join) a fill under the exclusive lock, submit the
   // device read, and return — the handler thread is free the moment
   // submit_read() enqueues. complete_read_fill() finishes on a queue
@@ -681,7 +680,7 @@ void BulletServer::complete_read_fill(std::uint32_t index, Status st,
           assert(rel.ok());
           (void)rel;
         }
-        free_inodes_.push_back(index);
+        release_slot_locked(index);
       }
       results.assign(waiters.size(), Result<PinnedFile>(error));
     } else {
@@ -754,7 +753,7 @@ std::vector<std::function<void()>> BulletServer::release_fill_locked(
       assert(rel.ok());
       (void)rel;
     }
-    free_inodes_.push_back(index);
+    release_slot_locked(index);
     for (auto& [trace, cb] : fill.waiters) {
       deliveries.push_back([trace, cb = std::move(cb)]() mutable {
         obs::RequestTrace::resume(trace);
@@ -985,7 +984,7 @@ void BulletServer::create_async(ByteSpan data, int pfactor,
           }
           inodes_[ctx->index] = Inode{};
           (void)write_inode_block(ctx->index, disk_->replica_count());
-          free_inodes_.push_back(ctx->index);
+          release_slot_locked(ctx->index);
           if (ctx->blocks > 0) {
             const Status rel =
                 disk_free_.release(ctx->first_block, ctx->blocks);
@@ -1151,7 +1150,7 @@ Status BulletServer::erase_index_locked(std::uint32_t index) {
       assert(st.ok());
       (void)st;
     }
-    free_inodes_.push_back(index);
+    release_slot_locked(index);
   }
   --live_files_;
   ++deletes_;

@@ -20,9 +20,11 @@
 // Files are immutable, so reads need no coordination with each other — a
 // cache hit takes a reader (shared) lock, pins the cache entry, and ships
 // borrowed bytes whose lifetime the Reply's retainer owns. Mutations
-// serialize on the writer (exclusive) lock. See DESIGN.md "Concurrency
-// model" for the lock hierarchy and the pin lifecycle, and "Async disk
-// pipeline" for which work still waits on the device on its caller.
+// serialize on the writer (exclusive) lock. Replication pushes run on
+// their own thread, the push lane, never on a UDP worker or a disk-queue
+// thread. See DESIGN.md "Concurrency model" for the lock hierarchy and the
+// pin lifecycle, "Async disk pipeline" for which work still waits on the
+// device on its caller, and "Replicated pairs" for the push lane.
 #pragma once
 
 #include <atomic>
@@ -35,6 +37,7 @@
 #include <mutex>
 #include <optional>
 #include <shared_mutex>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -374,10 +377,11 @@ class BulletServer final : public rpc::Service {
   Result<ByteSpan> cache_view(const Capability& cap,
                               Result<PinnedFile> file) const;
 
-  // The reply to CREATE/CREATE-FROM: push the new file to the peer, record
-  // the reply for retry dedup, encode the capability.
-  rpc::Reply created_reply(std::uint16_t opcode, std::uint64_t message_id,
-                           const Result<Capability>& cap, ByteSpan data);
+  // Answer CREATE/CREATE-FROM: push the new file to the peer, record the
+  // reply for retry dedup, respond with the capability.
+  void respond_created(std::uint16_t opcode, std::uint64_t message_id,
+                       const Result<Capability>& cap, ByteSpan data,
+                       rpc::Responder respond);
   static rpc::Reply cap_reply(const Result<Capability>& cap);
 
   // erase() body after capability verification; caller holds the
@@ -406,6 +410,13 @@ class BulletServer final : public rpc::Service {
     // carries the request's suspended trace (may be null).
     std::vector<std::pair<obs::RequestTrace*, ReadCallback>> waiters;
   };
+  // read_pinned_async()'s halves. read_hit() answers under the shared lock
+  // alone: the pinned file on a cache hit, or the capability check's
+  // error; nullopt means a miss, which read_miss_async() serves by
+  // registering (or joining) a fill. handle_async() answers a hit before
+  // it builds the continuation a miss needs.
+  std::optional<Result<PinnedFile>> read_hit(const Capability& cap);
+  void read_miss_async(const Capability& cap, ReadCallback done);
   // Completion of a read fill: validate identity, publish or roll back the
   // cache entry, deliver every waiter. Takes the exclusive lock.
   void complete_read_fill(std::uint32_t index, Status st,
@@ -505,13 +516,20 @@ class BulletServer final : public rpc::Service {
   void record_tombstone(std::uint32_t object, std::uint64_t random);
   bool tombstoned(std::uint32_t object, std::uint64_t random) const;
 
-  // Propagate a completed local mutation to the peer (no-op in solo mode
-  // or while the peer is down; a failed push degrades to solo). Called
-  // with no locks held, after the local apply succeeded.
+  // Propagate a completed local mutation to the peer, then run `then`
+  // (the reply). The push is skipped in solo mode or while the peer is
+  // down; a failed push degrades to solo. Called with no locks held,
+  // after the local apply succeeded.
   void replicate_create(std::uint32_t object, std::uint64_t random,
-                        ByteSpan data, std::uint64_t message_id);
+                        ByteSpan data, std::uint64_t message_id,
+                        std::function<void()> then);
   void replicate_erase(std::uint32_t object, std::uint64_t random,
-                       std::uint64_t message_id);
+                       std::uint64_t message_id, std::function<void()> then);
+  // True while mutations are pushed: a peer is attached, compatible and
+  // up, and this server is not solo.
+  bool pushing() const;
+  // Run `push` through peer_call, then `then`, on the push lane.
+  void push_then(Bytes push, std::function<void()> then);
 
   // kReplicate / kReplResync dispatch (called from handle_async()).
   void handle_replicate(const rpc::Request& request, rpc::Responder respond);
@@ -550,6 +568,9 @@ class BulletServer final : public rpc::Service {
   // Re-sort free_inodes_ so back() matches the allocation direction for
   // `role`. Caller holds the exclusive lock.
   void set_alloc_direction_locked(ReplRole role);
+  // Return a slot to free_inodes_ in allocation-direction order. Caller
+  // holds the exclusive lock.
+  void release_slot_locked(std::uint32_t index);
 
   MirroredDisk* disk_;
   BulletConfig config_;
@@ -568,6 +589,7 @@ class BulletServer final : public rpc::Service {
 
   std::vector<Inode> inodes_;            // the RAM inode table (slot 0 unused)
   std::vector<std::uint32_t> free_inodes_;
+  ReplRole alloc_role_ = ReplRole::kSolo;  // see set_alloc_direction_locked
   ExtentAllocator disk_free_;            // device blocks in the data region
   FileCache cache_;
 
@@ -662,6 +684,15 @@ class BulletServer final : public rpc::Service {
   obs::LatencyHistogram disk_write_latency_ns_;
   obs::MetricsRegistry metrics_;
 
+  // The push lane: one thread that makes every replication push and sends
+  // the reply waiting on it (inline when io_threads == 0). It runs jobs,
+  // never device operations. Pushes must not block the threads that serve
+  // the peer's inbound replication (UDP workers and disk-queue threads):
+  // two servers pushing to each other could then each hold the threads
+  // the other's pushes wait for. Destroyed after io_, whose completions
+  // post to it, and before everything its jobs touch.
+  AsyncDiskQueue push_lane_;
+
   // Last member on purpose: destroyed first, so its destructor drains
   // every pending completion while the rest of the server (cache, inode
   // table, allocator) is still alive.
@@ -672,13 +703,25 @@ template <typename T, typename Start>
 T BulletServer::await(Start start) {
   assert(!io_.in_completion() &&
          "blocking adapter called from this server's disk-queue thread");
+  // Most operations answer before start() returns, on this thread (cache
+  // hits; all work when io_threads == 0): that result needs no
+  // synchronization. Only a parked operation, delivered from another
+  // thread, goes through the mutex and condition variable.
   struct Waiter {
+    const std::thread::id caller = std::this_thread::get_id();
+    obs::RequestTrace* const trace = obs::RequestTrace::current();
+    bool answered_inline = false;  // caller thread only
     std::mutex mu;
     std::condition_variable cv;
-    std::optional<T> result;
-    obs::RequestTrace* trace = obs::RequestTrace::current();
+    bool delivered = false;        // guarded by mu
+    std::optional<T> result;       // inline: caller thread; else under mu
   } waiter;
   start([w = &waiter](T result) {
+    if (std::this_thread::get_id() == w->caller) {
+      w->result.emplace(std::move(result));
+      w->answered_inline = true;
+      return;
+    }
     // A parked operation delivers on a disk-queue thread with the caller's
     // trace resumed there; detach it so the caller can take it back.
     if (w->trace != nullptr && obs::RequestTrace::current() == w->trace) {
@@ -686,10 +729,13 @@ T BulletServer::await(Start start) {
     }
     std::lock_guard<std::mutex> lock(w->mu);
     w->result.emplace(std::move(result));
+    w->delivered = true;
     w->cv.notify_one();
   });
-  std::unique_lock<std::mutex> lock(waiter.mu);
-  waiter.cv.wait(lock, [&] { return waiter.result.has_value(); });
+  if (!waiter.answered_inline) {
+    std::unique_lock<std::mutex> lock(waiter.mu);
+    waiter.cv.wait(lock, [&] { return waiter.delivered; });
+  }
   obs::RequestTrace::resume(waiter.trace);
   return std::move(*waiter.result);
 }

@@ -32,17 +32,21 @@ rpc::Reply BulletServer::cap_reply(const Result<Capability>& cap) {
   return rpc::Reply::success(std::move(w).take());
 }
 
-rpc::Reply BulletServer::created_reply(std::uint16_t opcode,
-                                       std::uint64_t message_id,
-                                       const Result<Capability>& cap,
-                                       ByteSpan data) {
-  if (!cap.ok()) return rpc::Reply::error(cap.code());
+void BulletServer::respond_created(std::uint16_t opcode,
+                                   std::uint64_t message_id,
+                                   const Result<Capability>& cap,
+                                   ByteSpan data, rpc::Responder respond) {
+  if (!cap.ok()) return respond(rpc::Reply::error(cap.code()));
   const std::uint32_t object = cap.value().object;
   const std::uint64_t random = object_random(object);
-  if (random != 0) replicate_create(object, random, data, message_id);
-  rpc::Reply reply = cap_reply(cap);
-  dedup_record(message_id, opcode, reply.body, object, random);
-  return reply;
+  replicate_create(object, random, data, message_id,
+                   [this, opcode, message_id, object, random,
+                    reply = cap_reply(cap),
+                    respond = std::move(respond)]() mutable {
+                     dedup_record(message_id, opcode, reply.body, object,
+                                  random);
+                     respond(std::move(reply));
+                   });
 }
 
 rpc::Reply BulletServer::handle(const rpc::Request& request) {
@@ -129,19 +133,21 @@ void BulletServer::handle_async(const rpc::Request& request,
       create_async(data.value(), pfactor.value(),
                    [this, respond = std::move(respond),
                     message_id = request.message_id](
-                       Result<Capability> cap, ByteSpan bytes) {
-                     respond(created_reply(wire::kCreate, message_id, cap,
-                                           bytes));
+                       Result<Capability> cap, ByteSpan bytes) mutable {
+                     respond_created(wire::kCreate, message_id, cap, bytes,
+                                     std::move(respond));
                    });
       return;
     }
     case wire::kRead: {
       if (!body.done()) return bad();
-      read_pinned_async(request.target,
-                        [respond = std::move(respond)](
-                            Result<PinnedFile> data) {
-                          respond(pinned_reply(std::move(data)));
-                        });
+      if (auto hit = read_hit(request.target)) {
+        return respond(pinned_reply(std::move(*hit)));
+      }
+      read_miss_async(request.target,
+                      [respond = std::move(respond)](Result<PinnedFile> data) {
+                        respond(pinned_reply(std::move(data)));
+                      });
       return;
     }
     case wire::kReadRange: {
@@ -167,14 +173,18 @@ void BulletServer::handle_async(const rpc::Request& request,
       if (!body.done()) return bad();
       // Capture the doomed file's identity before it goes: the tombstone
       // and the peer push both need (object, random).
-      const std::uint64_t random = object_random(request.target.object);
+      const std::uint32_t object = request.target.object;
+      const std::uint64_t random = object_random(object);
       const Status st = erase(request.target);
-      if (st.ok() && random != 0) {
-        replicate_erase(request.target.object, random, request.message_id);
-        dedup_record(request.message_id, wire::kDelete, Bytes{},
-                     request.target.object, random);
-      }
-      return respond(to_reply(st));
+      if (!st.ok() || random == 0) return respond(to_reply(st));
+      replicate_erase(object, random, request.message_id,
+                      [this, object, random, message_id = request.message_id,
+                       respond = std::move(respond)] {
+                        dedup_record(message_id, wire::kDelete, Bytes{},
+                                     object, random);
+                        respond(rpc::Reply::success());
+                      });
+      return;
     }
     case wire::kCreateFrom: {
       auto pfactor = body.u8();
@@ -193,9 +203,9 @@ void BulletServer::handle_async(const rpc::Request& request,
       create_from_async(request.target, std::move(edits), pfactor.value(),
                         [this, respond = std::move(respond),
                          message_id = request.message_id](
-                            Result<Capability> cap, ByteSpan bytes) {
-                          respond(created_reply(wire::kCreateFrom, message_id,
-                                                cap, bytes));
+                            Result<Capability> cap, ByteSpan bytes) mutable {
+                          respond_created(wire::kCreateFrom, message_id, cap,
+                                          bytes, std::move(respond));
                         });
       return;
     }

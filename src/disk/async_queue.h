@@ -62,7 +62,8 @@ class AsyncDiskQueue {
     std::uint64_t queue_depth_max = 0;  // high-water mark of inflight
   };
 
-  // `device` must outlive the queue. `threads == 0` selects inline mode.
+  // `device` must outlive the queue; it may be null for a queue that only
+  // runs submit_job(). `threads == 0` selects inline mode.
   AsyncDiskQueue(BlockDevice* device, unsigned threads);
   ~AsyncDiskQueue();
 

@@ -214,9 +214,16 @@ TEST(AsyncPipelineTest, MixedCallersJoinOneFill) {
     request.body = std::move(w).take();
     fetched = server.handle(request);
   });
-  // Give both callers time to reach the fill (or, without fill joining,
-  // the device) before the held read completes.
-  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  // Release the held read only once both callers have missed too, so they
+  // are joining the fill (or, without fill joining, reading the device)
+  // rather than hitting the entry it publishes.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server.stats().cache_misses < 3 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(3u, server.stats().cache_misses);
   gate.release();
   create_from.join();
   fetch.join();

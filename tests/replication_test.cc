@@ -15,6 +15,7 @@
 #include "bullet/server.h"
 #include "rpc/failover_transport.h"
 #include "rpc/fault_transport.h"
+#include "rpc/udp_transport.h"
 #include "tests/test_util.h"
 
 namespace bullet {
@@ -569,6 +570,83 @@ TEST(ReplicationTest, FailedInstallAnswersReadsThatJoinedIt) {
 }
 
 // --- mixed versions -----------------------------------------------------
+
+// Both sides of a UDP pair take creates and deletes at once, as after a
+// client fails over to the backup. A push may only wait on peer threads
+// that never push themselves; otherwise each side's pushes hold the
+// threads the other side's pushes need, both time out and the pair
+// degrades to solo.
+TEST(ReplicationTest, UdpPairMutatingOnBothSidesStaysHealthy) {
+  BulletHarness::Options options = single_disk();
+  options.disk_blocks = 1 << 14;
+  options.inode_slots = 1024;
+  BulletHarness a(options), b(options);
+  BulletConfig config_a = config_with_seed(0xA);
+  BulletConfig config_b = config_with_seed(0xB);
+  config_a.io_threads = config_b.io_threads = 2;
+  a.reboot(config_a);
+  b.reboot(config_b);
+
+  rpc::UdpServerOptions server_options;
+  server_options.workers = 2;
+  auto udp_a = rpc::UdpServer::start(server_options);
+  auto udp_b = rpc::UdpServer::start(server_options);
+  ASSERT_TRUE(udp_a.ok());
+  ASSERT_TRUE(udp_b.ok());
+  ASSERT_OK(udp_a.value()->register_service(&a.server()));
+  ASSERT_OK(udp_b.value()->register_service(&b.server()));
+  const auto connect = [](const rpc::UdpServer& to) {
+    rpc::UdpClientOptions client_options;
+    client_options.server_udp_port = to.port();
+    return rpc::UdpTransport::connect(client_options);
+  };
+  auto a_to_b = connect(*udp_b.value());
+  auto b_to_a = connect(*udp_a.value());
+  ASSERT_TRUE(a_to_b.ok());
+  ASSERT_TRUE(b_to_a.ok());
+  a.server().attach_replica(a_to_b.value().get(),
+                            BulletServer::ReplRole::kPrimary);
+  b.server().attach_replica(b_to_a.value().get(),
+                            BulletServer::ReplRole::kBackup);
+
+  constexpr int kClients = 4;  // two per side
+  constexpr int kCreatesPerClient = 40;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> clients;
+  for (int i = 0; i < kClients; ++i) {
+    clients.emplace_back([&, i] {
+      BulletHarness& side = i % 2 == 0 ? a : b;
+      auto link = connect(i % 2 == 0 ? *udp_a.value() : *udp_b.value());
+      if (!link.ok()) {
+        ++failures;
+        return;
+      }
+      BulletClient client(link.value().get(),
+                          side.server().super_capability());
+      for (int n = 0; n < kCreatesPerClient; ++n) {
+        const Bytes data = payload(1 + (n * 997) % 4000, i * 1000 + n);
+        auto cap = client.create(data, 1);
+        if (!cap.ok()) {
+          ++failures;
+        } else if (n % 4 == 3 && !client.erase(cap.value()).ok()) {
+          ++failures;
+        }
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+
+  EXPECT_EQ(0, failures.load());
+  for (BulletHarness* side : {&a, &b}) {
+    EXPECT_TRUE(side->server().repl_status().peer_healthy);
+    EXPECT_EQ(0u, side->server().stats().repl_push_failures);
+  }
+  // Every surviving file, whichever side took it, is on both.
+  EXPECT_EQ(kClients * kCreatesPerClient * 3 / 4, a.server().live_files());
+  EXPECT_EQ(a.server().live_files(), b.server().live_files());
+  a.server().detach_replica();
+  b.server().detach_replica();
+}
 
 // A pre-replication server: opcodes it does not know answer
 // not_supported — exactly what the real legacy dispatch does.
