@@ -1,6 +1,20 @@
 #include "bullet/client.h"
 
 namespace bullet {
+namespace {
+
+// A READ/READ-RANGE reply is a u32 length ‖ the bytes. Strip the prefix in
+// place, so the reply buffer becomes the result without another copy.
+Result<Bytes> take_blob(Bytes body) {
+  Reader r(body);
+  BULLET_ASSIGN_OR_RETURN(const ByteSpan data, r.blob());
+  const std::size_t size = data.size();
+  body.erase(body.begin(), body.begin() + 4);
+  body.resize(size);
+  return body;
+}
+
+}  // namespace
 
 Result<Bytes> BulletClient::call(const Capability& target,
                                  std::uint16_t opcode, Bytes body) {
@@ -52,9 +66,7 @@ Result<std::uint32_t> BulletClient::size(const Capability& cap) {
 
 Result<Bytes> BulletClient::read(const Capability& cap) {
   BULLET_ASSIGN_OR_RETURN(Bytes body, call(cap, wire::kRead, {}));
-  Reader r(body);
-  BULLET_ASSIGN_OR_RETURN(ByteSpan data, r.blob());
-  return Bytes(data.begin(), data.end());
+  return take_blob(std::move(body));
 }
 
 Result<Bytes> BulletClient::read_whole(const Capability& cap) {
@@ -96,9 +108,7 @@ Result<Bytes> BulletClient::read_range(const Capability& cap,
   w.u32(length);
   BULLET_ASSIGN_OR_RETURN(Bytes body,
                           call(cap, wire::kReadRange, std::move(w).take()));
-  Reader r(body);
-  BULLET_ASSIGN_OR_RETURN(ByteSpan data, r.blob());
-  return Bytes(data.begin(), data.end());
+  return take_blob(std::move(body));
 }
 
 Result<Capability> BulletClient::restrict(const Capability& cap,

@@ -49,8 +49,8 @@ enum class Stage : std::uint8_t {
   kCache = 5,       // cache probe/fill (hit: ~0; miss: includes disk)
   kDiskRead = 6,    // block-device read
   kDiskWrite = 7,   // block-device write
-  kEncode = 8,      // reply gathered/encoded for the wire
-  kTx = 9,          // encoded reply → sendmmsg complete
+  kEncode = 8,      // sent reply copied into the retransmit cache
+  kTx = 9,          // reply gathered in place → sendmmsg complete
   kDiskQueue = 10,  // async disk op queued: submit → execution start
 };
 

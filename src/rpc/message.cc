@@ -44,10 +44,19 @@ Result<Request> Request::decode(ByteSpan wire) {
   return req;
 }
 
+std::array<std::uint8_t, Reply::kHeaderSize> Reply::encode_header() const {
+  const auto code = static_cast<std::uint16_t>(status);
+  const auto length = static_cast<std::uint32_t>(payload_size());
+  return {static_cast<std::uint8_t>(code), static_cast<std::uint8_t>(code >> 8),
+          static_cast<std::uint8_t>(length),
+          static_cast<std::uint8_t>(length >> 8),
+          static_cast<std::uint8_t>(length >> 16),
+          static_cast<std::uint8_t>(length >> 24)};
+}
+
 Bytes Reply::encode() const {
   Writer w(wire_size());
-  w.u16(static_cast<std::uint16_t>(status));
-  w.u32(static_cast<std::uint32_t>(payload_size()));
+  w.bytes(encode_header());
   w.bytes(body);
   for (const ByteSpan s : segments) w.bytes(s);
   return std::move(w).take();
@@ -71,6 +80,18 @@ Result<Reply> Reply::decode(ByteSpan wire) {
   BULLET_ASSIGN_OR_RETURN(ByteSpan body, r.blob());
   rep.body.assign(body.begin(), body.end());
   if (!r.done()) return Error(ErrorCode::bad_argument, "trailing bytes");
+  return rep;
+}
+
+Result<Reply> Reply::decode(Bytes&& wire) {
+  Reader r(wire);
+  Reply rep;
+  BULLET_ASSIGN_OR_RETURN(const std::uint16_t status, r.u16());
+  rep.status = static_cast<ErrorCode>(status);
+  if (const auto payload = r.blob(); !payload.ok()) return payload.error();
+  if (!r.done()) return Error(ErrorCode::bad_argument, "trailing bytes");
+  wire.erase(wire.begin(), wire.begin() + kHeaderSize);
+  rep.body = std::move(wire);
   return rep;
 }
 

@@ -6,6 +6,7 @@
 // opaque byte strings built with common/serde.h.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 
@@ -93,12 +94,25 @@ struct Reply {
     return n;
   }
 
-  std::uint64_t wire_size() const noexcept { return 2 + 4 + payload_size(); }
+  // status u16 ‖ payload-length u32.
+  static constexpr std::size_t kHeaderSize = 6;
 
-  // Gather body + segments into one wire buffer (used only at a real
-  // network boundary; in-process transports never call this).
+  std::uint64_t wire_size() const noexcept {
+    return kHeaderSize + payload_size();
+  }
+
+  // The wire prefix. It, `body` and then `segments` are the encoded reply,
+  // so a UDP server sends the three in place instead of calling encode().
+  std::array<std::uint8_t, kHeaderSize> encode_header() const;
+
+  // Gather header + body + segments into one wire buffer (at a real network
+  // boundary only, for the retransmit cache; in-process transports never
+  // call this).
   Bytes encode() const;
   static Result<Reply> decode(ByteSpan wire);
+  // Same checks, but the caller's buffer becomes `body` (its header
+  // stripped in place), so a reassembled reply is not copied again.
+  static Result<Reply> decode(Bytes&& wire);
 
   // Materialize the full payload as one owned buffer. Moves `body` out
   // without copying when there are no borrowed segments (the common case

@@ -25,150 +25,88 @@ namespace {
 
 constexpr char kLog[] = "udp";
 constexpr std::uint32_t kFragMagic = 0x424C4652;  // "BLFR"
-constexpr std::size_t kFragHeader = 4 + 8 + 2 + 2 + 4;  // magic,id,idx,cnt,len
 // Datagrams per recvmmsg/sendmmsg batch.
 constexpr std::size_t kIoBatch = 32;
+// Receive buffer per datagram. The slack makes an oversize datagram fail
+// the length check instead of arriving truncated to a plausible one.
+constexpr std::size_t kDatagramBuffer = kFragmentPayload + kFragmentHeader + 64;
+
+using FragmentHeader = std::array<std::uint8_t, kFragmentHeader>;
 
 Error errno_error(const char* what) {
   return Error(ErrorCode::io_error,
                std::string(what) + ": " + std::strerror(errno));
 }
 
-Bytes make_fragment_header(std::uint64_t message_id, std::uint16_t index,
-                           std::uint16_t count, std::uint32_t payload_len) {
-  Writer w(kFragHeader);
-  w.u32(kFragMagic);
-  w.u64(message_id);
-  w.u16(index);
-  w.u16(count);
-  w.u32(payload_len);
-  return std::move(w).take();
+void store_le(std::uint8_t* p, std::uint64_t v, std::size_t nbytes) {
+  for (std::size_t i = 0; i < nbytes; ++i) {
+    p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
 }
 
-// One fragment on the wire: header + payload slice.
-Bytes make_fragment(std::uint64_t message_id, std::uint16_t index,
-                    std::uint16_t count, ByteSpan payload) {
-  Writer w(kFragHeader + payload.size());
-  w.u32(kFragMagic);
-  w.u64(message_id);
-  w.u16(index);
-  w.u16(count);
-  w.u32(static_cast<std::uint32_t>(payload.size()));
-  w.bytes(payload);
-  return std::move(w).take();
+FragmentHeader fragment_header(std::uint64_t message_id, std::uint16_t index,
+                               std::uint16_t count, std::uint32_t payload_len) {
+  FragmentHeader h;
+  store_le(h.data(), kFragMagic, 4);
+  store_le(h.data() + 4, message_id, 8);
+  store_le(h.data() + 12, index, 2);
+  store_le(h.data() + 14, count, 2);
+  store_le(h.data() + 16, payload_len, 4);
+  return h;
 }
 
-struct FragmentView {
-  std::uint64_t message_id = 0;
-  std::uint16_t index = 0;
-  std::uint16_t count = 0;
-  ByteSpan payload;
-};
-
-Result<FragmentView> parse_fragment(ByteSpan datagram) {
-  Reader r(datagram);
-  FragmentView f;
-  BULLET_ASSIGN_OR_RETURN(const std::uint32_t magic, r.u32());
-  if (magic != kFragMagic) {
-    return Error(ErrorCode::bad_argument, "not a fragment");
-  }
-  BULLET_ASSIGN_OR_RETURN(f.message_id, r.u64());
-  BULLET_ASSIGN_OR_RETURN(f.index, r.u16());
-  BULLET_ASSIGN_OR_RETURN(f.count, r.u16());
-  BULLET_ASSIGN_OR_RETURN(const std::uint32_t len, r.u32());
-  BULLET_ASSIGN_OR_RETURN(f.payload, r.bytes(len));
-  if (!r.done() || f.count == 0 || f.index >= f.count) {
-    return Error(ErrorCode::bad_argument, "malformed fragment");
-  }
-  return f;
-}
-
-// Reassembly buffer for one message.
-struct Assembly {
-  std::uint16_t count = 0;
-  std::uint16_t received = 0;
-  std::uint64_t first_ns = 0;  // first-fragment arrival (0 = not tracing)
-  std::vector<Bytes> parts;
-
-  // Returns true once complete.
-  bool add(const FragmentView& f) {
-    if (count == 0) {
-      count = f.count;
-      parts.assign(count, Bytes{});
-    }
-    if (f.count != count || f.index >= count) return false;
-    if (parts[f.index].empty()) {
-      parts[f.index].assign(f.payload.begin(), f.payload.end());
-      ++received;
-    }
-    return received == count;
-  }
-
-  Bytes join() const {
-    Bytes out;
-    for (const Bytes& part : parts) append(out, part);
-    return out;
-  }
-};
-
-// Fragment-and-send via individual sendto calls (client side: requests are
-// small, batching buys nothing).
-Status send_message(int fd, const sockaddr_in& to, std::uint64_t message_id,
-                    ByteSpan message) {
-  const std::size_t count =
-      message.empty() ? 1
-                      : (message.size() + kFragmentPayload - 1) /
-                            kFragmentPayload;
-  if (count > 0xFFFF) return Error(ErrorCode::too_large, "message too large");
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::size_t offset = i * kFragmentPayload;
-    const std::size_t len =
-        std::min(kFragmentPayload, message.size() - offset);
-    const Bytes frag =
-        make_fragment(message_id, static_cast<std::uint16_t>(i),
-                      static_cast<std::uint16_t>(count),
-                      message.subspan(offset, len));
-    const ssize_t sent =
-        ::sendto(fd, frag.data(), frag.size(), 0,
-                 reinterpret_cast<const sockaddr*>(&to), sizeof to);
-    if (sent < 0) return errno_error("sendto");
-  }
-  return Status::success();
-}
-
-// Fragment-and-send via sendmmsg, two iovecs per fragment: the 20-byte
-// header (stack) and a slice of `message` in place. The payload — often a
-// large borrowed-cache read reply — is never copied into per-fragment
-// buffers; the kernel gathers each datagram from the two pieces.
+// Fragment-and-send the concatenation of `parts` as one message via
+// sendmmsg. Each datagram is gathered from its header (stack) and one
+// iovec per slice of the parts it covers, so nothing is copied into a wire
+// buffer: a READ reply goes out straight from its 6-byte header, its body
+// and the pinned cache span. Requests, replies, pushbacks and retransmit
+// answers all leave through here.
 Status send_message_batched(int fd, const sockaddr_in& to,
-                            std::uint64_t message_id, ByteSpan message) {
+                            std::uint64_t message_id,
+                            std::span<const ByteSpan> parts) {
+  std::size_t total = 0;
+  for (const ByteSpan part : parts) total += part.size();
   const std::size_t count =
-      message.empty() ? 1
-                      : (message.size() + kFragmentPayload - 1) /
-                            kFragmentPayload;
+      total == 0 ? 1 : (total + kFragmentPayload - 1) / kFragmentPayload;
   if (count > 0xFFFF) return Error(ErrorCode::too_large, "message too large");
   sockaddr_in dest = to;
-  std::array<Bytes, kIoBatch> headers;
-  std::array<std::array<iovec, 2>, kIoBatch> iovs;
+  std::array<FragmentHeader, kIoBatch> headers;
   std::array<mmsghdr, kIoBatch> msgs;
+  // A datagram needs at most its header plus one slice of every part.
+  std::vector<iovec> iovs(std::min(kIoBatch, count) * (1 + parts.size()));
+  std::size_t part = 0;    // cursor: the next unsent byte is
+  std::size_t within = 0;  // parts[part][within]
   for (std::size_t first = 0; first < count; first += kIoBatch) {
     const std::size_t batch = std::min(kIoBatch, count - first);
+    std::size_t used = 0;
     for (std::size_t j = 0; j < batch; ++j) {
       const std::size_t idx = first + j;
-      const std::size_t offset = idx * kFragmentPayload;
       const std::size_t len =
-          message.empty() ? 0
-                          : std::min(kFragmentPayload, message.size() - offset);
-      headers[j] = make_fragment_header(
-          message_id, static_cast<std::uint16_t>(idx),
-          static_cast<std::uint16_t>(count), static_cast<std::uint32_t>(len));
-      iovs[j][0] = {headers[j].data(), kFragHeader};
-      iovs[j][1] = {const_cast<std::uint8_t*>(message.data() + offset), len};
+          std::min(kFragmentPayload, total - idx * kFragmentPayload);
+      headers[j] = fragment_header(message_id, static_cast<std::uint16_t>(idx),
+                                   static_cast<std::uint16_t>(count),
+                                   static_cast<std::uint32_t>(len));
+      iovec* const datagram = iovs.data() + used;
+      iovs[used++] = {headers[j].data(), kFragmentHeader};
+      for (std::size_t left = len; left > 0;) {
+        const ByteSpan p = parts[part];
+        const std::size_t slice = std::min(left, p.size() - within);
+        if (slice > 0) {
+          iovs[used++] = {const_cast<std::uint8_t*>(p.data() + within), slice};
+        }
+        within += slice;
+        left -= slice;
+        if (within == p.size()) {
+          ++part;
+          within = 0;
+        }
+      }
       msgs[j] = mmsghdr{};
       msgs[j].msg_hdr.msg_name = &dest;
       msgs[j].msg_hdr.msg_namelen = sizeof dest;
-      msgs[j].msg_hdr.msg_iov = iovs[j].data();
-      msgs[j].msg_hdr.msg_iovlen = len > 0 ? 2 : 1;
+      msgs[j].msg_hdr.msg_iov = datagram;
+      msgs[j].msg_hdr.msg_iovlen =
+          static_cast<std::size_t>(iovs.data() + used - datagram);
     }
     std::size_t done = 0;
     while (done < batch) {
@@ -183,6 +121,46 @@ Status send_message_batched(int fd, const sockaddr_in& to,
   }
   return Status::success();
 }
+
+Status send_message_batched(int fd, const sockaddr_in& to,
+                            std::uint64_t message_id, ByteSpan message) {
+  return send_message_batched(fd, to, message_id, std::span(&message, 1));
+}
+
+// kIoBatch datagram buffers for recvmmsg, reused across receives.
+class ReceiveRing {
+ public:
+  ReceiveRing()
+      : buffers_(kIoBatch, std::vector<std::uint8_t>(kDatagramBuffer)),
+        from_(kIoBatch),
+        iovs_(kIoBatch),
+        msgs_(kIoBatch) {}
+
+  // MSG_WAITFORONE: block (up to SO_RCVTIMEO) for the first datagram, then
+  // take whatever else is already queued — a burst of fragments arrives as
+  // one batch, one syscall. Returns the datagram count, or -1 with errno.
+  int receive(int fd) {
+    for (std::size_t i = 0; i < kIoBatch; ++i) {
+      iovs_[i] = {buffers_[i].data(), buffers_[i].size()};
+      msgs_[i] = mmsghdr{};
+      msgs_[i].msg_hdr.msg_name = &from_[i];
+      msgs_[i].msg_hdr.msg_namelen = sizeof(sockaddr_in);
+      msgs_[i].msg_hdr.msg_iov = &iovs_[i];
+      msgs_[i].msg_hdr.msg_iovlen = 1;
+    }
+    return ::recvmmsg(fd, msgs_.data(), kIoBatch, MSG_WAITFORONE, nullptr);
+  }
+  ByteSpan datagram(int i) const {
+    return ByteSpan(buffers_[i].data(), msgs_[i].msg_len);
+  }
+  const sockaddr_in& from(int i) const { return from_[i]; }
+
+ private:
+  std::vector<std::vector<std::uint8_t>> buffers_;
+  std::vector<sockaddr_in> from_;
+  std::vector<iovec> iovs_;
+  std::vector<mmsghdr> msgs_;
+};
 
 sockaddr_in loopback(std::uint16_t port) {
   sockaddr_in addr{};
@@ -255,10 +233,6 @@ std::uint64_t load_le_u64(const std::uint8_t* p) {
          (static_cast<std::uint64_t>(load_le_u32(p + 4)) << 32);
 }
 
-void store_le_u64(std::uint8_t* p, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
-}
-
 // O(1) peek at a reassembled request's optional trailer without decoding
 // the request: capability ‖ opcode u16 ‖ body-length u32 ‖ body ‖ trailer.
 // A 16-byte trailer means the client is overload-aware (can be answered
@@ -306,6 +280,85 @@ std::uint32_t pushback_retry_after_ms(const Reply& reply, int fallback_ms) {
 }
 
 }  // namespace
+
+// --- fragments ---------------------------------------------------------------
+
+Bytes Fragment::encode() const {
+  const FragmentHeader header = fragment_header(
+      message_id, index, count, static_cast<std::uint32_t>(payload.size()));
+  Bytes out(header.begin(), header.end());
+  append(out, payload);
+  return out;
+}
+
+Result<Fragment> Fragment::parse(ByteSpan datagram) {
+  Reader r(datagram);
+  Fragment f;
+  BULLET_ASSIGN_OR_RETURN(const std::uint32_t magic, r.u32());
+  if (magic != kFragMagic) {
+    return Error(ErrorCode::bad_argument, "not a fragment");
+  }
+  BULLET_ASSIGN_OR_RETURN(f.message_id, r.u64());
+  BULLET_ASSIGN_OR_RETURN(f.index, r.u16());
+  BULLET_ASSIGN_OR_RETURN(f.count, r.u16());
+  BULLET_ASSIGN_OR_RETURN(const std::uint32_t len, r.u32());
+  BULLET_ASSIGN_OR_RETURN(f.payload, r.bytes(len));
+  if (!r.done() || f.count == 0 || f.index >= f.count) {
+    return Error(ErrorCode::bad_argument, "malformed fragment");
+  }
+  return f;
+}
+
+void Reassembler::reset(std::uint64_t message_id) {
+  message_id_ = message_id;
+  count_ = 0;
+  received_ = 0;
+  seen_.clear();
+  buffer_.clear();
+}
+
+bool Reassembler::add(const Fragment& f) {
+  if (f.message_id != message_id_ || f.index >= f.count) return false;
+  if (count_ != 0 && f.count != count_) return false;
+  const bool last = f.index + 1 == f.count;
+  if (last ? f.payload.size() > kFragmentPayload
+           : f.payload.size() != kFragmentPayload) {
+    return false;
+  }
+  const std::size_t offset = std::size_t{f.index} * kFragmentPayload;
+  const std::size_t end = offset + f.payload.size();
+  if (end > std::max(kMaxReserve,
+                     (std::size_t{received_} + 1) * kFragmentPayload)) {
+    return false;
+  }
+  if (count_ == 0) {
+    count_ = f.count;
+    seen_.assign((count_ + 63) / 64, 0);
+    // Exact when the last fragment comes first, as a one-fragment message's
+    // does.
+    buffer_.reserve(std::min(
+        last ? end : std::size_t{count_} * kFragmentPayload, kMaxReserve));
+  }
+  std::uint64_t& word = seen_[f.index / 64];
+  const std::uint64_t bit = std::uint64_t{1} << (f.index % 64);
+  if ((word & bit) != 0) return false;
+  word |= bit;
+  if (offset == buffer_.size()) {
+    append(buffer_, f.payload);  // in order: no zero-fill
+  } else {
+    // Out of order: only the gap before it is zero-filled, and the
+    // fragments that belong there overwrite it.
+    if (end > buffer_.size()) buffer_.resize(end);
+    std::copy(f.payload.begin(), f.payload.end(), buffer_.begin() + offset);
+  }
+  return ++received_ == count_;
+}
+
+Bytes Reassembler::take() {
+  Bytes out = std::move(buffer_);
+  reset(message_id_);
+  return out;
+}
 
 // --- reply cache -------------------------------------------------------------
 
@@ -401,8 +454,17 @@ struct UdpServer::Impl : std::enable_shared_from_this<UdpServer::Impl> {
   std::atomic<std::uint64_t> duplicates{0};
   Rng loss_rng{1};  // RX thread only
 
-  // Reassembly per (peer, message id); RX thread only.
-  std::map<std::pair<std::uint64_t, std::uint64_t>, Assembly> assembling;
+  // Multi-fragment messages being reassembled, at most one per client
+  // endpoint; RX thread only. A UdpTransport connection has one call
+  // outstanding and reuses its message id for every retransmit, so a
+  // fragment of another message from the same endpoint means the client
+  // has moved on (or restarted on the same port): it replaces the partial
+  // message, which then costs no more than one endpoint's entry.
+  struct Inbound {
+    Reassembler message;
+    std::uint64_t first_ns = 0;  // first-fragment arrival (0 = not tracing)
+  };
+  std::unordered_map<std::uint64_t, Inbound> assembling;
 
   // Worker-pool state (workers > 0). Each client endpoint gets an ordered
   // queue; at most one worker drains a given client at a time, so requests
@@ -552,11 +614,11 @@ struct UdpServer::Impl : std::enable_shared_from_this<UdpServer::Impl> {
     return ctx;
   }
 
-  // Encode, cache, send, and release the request's dedup/ordering marks.
-  // Runs on the dispatching thread (synchronous services) or on whatever
-  // thread completes a parked request's disk I/O. The Reply may borrow
-  // pinned cache bytes; the pin lives until `reply` is destroyed, after
-  // encode() gathered them.
+  // Send, cache, and release the request's dedup/ordering marks. Runs on
+  // the dispatching thread (synchronous services) or on whatever thread
+  // completes a parked request's disk I/O. The Reply may borrow pinned
+  // cache bytes; the pin lives until `reply` is destroyed, after the send
+  // gathered them and encode() copied them for the cache.
   void finish(const std::shared_ptr<RespondCtx>& ctx, Reply&& reply) {
     // A retry_later reply is a shed, not an answer: never cache it (the
     // retransmit should be re-admitted once load clears — nothing was
@@ -580,19 +642,21 @@ struct UdpServer::Impl : std::enable_shared_from_this<UdpServer::Impl> {
       }
     }
     if (send_reply) {
-      std::shared_ptr<const Bytes> encoded;
-      {
-        obs::ScopedSpan span(obs::Stage::kEncode);
-        encoded = std::make_shared<const Bytes>(reply.encode());
-      }
-      // Cache before sending (and before the in-flight marks clear): a
-      // retransmit arriving at any later instant finds either the in-flight
-      // mark or the cached reply — never a gap that re-executes.
-      if (cache_reply) replies.insert(ctx->peer, ctx->message_id, encoded);
       {
         obs::ScopedSpan span(obs::Stage::kTx);
-        (void)send_message_batched(fd, ctx->from, ctx->message_id,
-                                   ByteSpan(encoded->data(), encoded->size()));
+        const auto header = reply.encode_header();
+        std::vector<ByteSpan> parts{ByteSpan(header), ByteSpan(reply.body)};
+        parts.insert(parts.end(), reply.segments.begin(), reply.segments.end());
+        (void)send_message_batched(fd, ctx->from, ctx->message_id, parts);
+      }
+      // Cache after sending but before the in-flight marks clear: a
+      // retransmit arriving at any instant finds either the in-flight mark
+      // or the cached reply — never a gap that re-executes. The copy is
+      // made once the reply is on its way, off the client's path.
+      if (cache_reply) {
+        obs::ScopedSpan span(obs::Stage::kEncode);
+        replies.insert(ctx->peer, ctx->message_id,
+                       std::make_shared<const Bytes>(reply.encode()));
       }
     }
     replies.release(ctx->peer, ctx->message_id);
@@ -762,12 +826,11 @@ struct UdpServer::Impl : std::enable_shared_from_this<UdpServer::Impl> {
       dropped.fetch_add(1);
       return;
     }
-    auto fragment = parse_fragment(datagram);
+    auto fragment = Fragment::parse(datagram);
     if (!fragment.ok()) return;
 
     const std::uint64_t peer = peer_key(from);
     const std::uint64_t message_id = fragment.value().message_id;
-    const auto key = std::make_pair(peer, message_id);
 
     // Retransmit of something we already answered?
     if (const auto hit = replies.find(peer, message_id); hit != nullptr) {
@@ -792,15 +855,25 @@ struct UdpServer::Impl : std::enable_shared_from_this<UdpServer::Impl> {
       }
     }
 
-    Assembly& assembly = assembling[key];
-    if (assembly.count == 0 && obs::tracing_enabled()) {
-      assembly.first_ns = obs::now_ns();
+    Bytes wire;
+    std::uint64_t rx_first_ns = 0;
+    if (fragment.value().count == 1) {
+      if (!assembling.empty()) assembling.erase(peer);
+      rx_first_ns = obs::tracing_enabled() ? obs::now_ns() : 0;
+      wire.assign(fragment.value().payload.begin(),
+                  fragment.value().payload.end());
+    } else {
+      Inbound& inbound = assembling[peer];
+      if (inbound.message.message_id() != message_id) {
+        inbound.message.reset(message_id);
+        inbound.first_ns = obs::tracing_enabled() ? obs::now_ns() : 0;
+      }
+      if (!inbound.message.add(fragment.value())) return;
+      rx_first_ns = inbound.first_ns;
+      wire = inbound.message.take();
+      assembling.erase(peer);
     }
-    if (!assembly.add(fragment.value())) return;
-    const std::uint64_t rx_first_ns = assembly.first_ns;
     const std::uint64_t rx_done_ns = rx_first_ns != 0 ? obs::now_ns() : 0;
-    Bytes wire = assembly.join();
-    assembling.erase(key);
 
     if (workers.empty()) {
       // Inline mode executes immediately — there is no queue to bound and
@@ -822,26 +895,9 @@ struct UdpServer::Impl : std::enable_shared_from_this<UdpServer::Impl> {
   }
 
   void rx_loop() {
-    std::vector<std::vector<std::uint8_t>> buffers(
-        kIoBatch,
-        std::vector<std::uint8_t>(kFragmentPayload + kFragHeader + 64));
-    std::vector<sockaddr_in> addrs(kIoBatch);
-    std::vector<iovec> iovs(kIoBatch);
-    std::vector<mmsghdr> msgs(kIoBatch);
+    ReceiveRing ring;
     while (running.load()) {
-      for (std::size_t i = 0; i < kIoBatch; ++i) {
-        iovs[i] = {buffers[i].data(), buffers[i].size()};
-        msgs[i] = mmsghdr{};
-        msgs[i].msg_hdr.msg_name = &addrs[i];
-        msgs[i].msg_hdr.msg_namelen = sizeof(sockaddr_in);
-        msgs[i].msg_hdr.msg_iov = &iovs[i];
-        msgs[i].msg_hdr.msg_iovlen = 1;
-      }
-      // MSG_WAITFORONE: block (up to SO_RCVTIMEO) for the first datagram,
-      // then drain whatever else is already queued — bursts of fragments
-      // arrive as one batch, one syscall.
-      const int n =
-          ::recvmmsg(fd, msgs.data(), kIoBatch, MSG_WAITFORONE, nullptr);
+      const int n = ring.receive(fd);
       if (n < 0) {
         if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) {
           continue;  // timeout: re-check running
@@ -851,7 +907,7 @@ struct UdpServer::Impl : std::enable_shared_from_this<UdpServer::Impl> {
       }
       if (n > 0) io.rx_batches.fetch_add(1, std::memory_order_relaxed);
       for (int i = 0; i < n; ++i) {
-        handle_datagram(addrs[i], ByteSpan(buffers[i].data(), msgs[i].msg_len));
+        handle_datagram(ring.from(i), ring.datagram(i));
       }
     }
   }
@@ -929,30 +985,31 @@ struct UdpTransport::Impl {
   std::mutex call_mu;
   std::uint64_t next_message_id = 1;
 
+  // Reused across calls (call_mu serializes them); made by the first.
+  std::unique_ptr<ReceiveRing> ring;
+
   ~Impl() {
     if (fd >= 0) ::close(fd);
   }
 
-  // Wait for a complete reply to `message_id`; nullopt on timeout.
-  Result<Bytes> await_reply(std::uint64_t message_id, bool* timed_out) {
-    *timed_out = false;
-    Assembly assembly;
-    std::vector<std::uint8_t> buffer(kFragmentPayload + kFragHeader + 64);
+  // Wait until `reply` completes (true) or the receive timeout passes with
+  // nothing arriving (false). Fragments of other (stale) message ids are
+  // dropped by the reassembler.
+  Result<bool> await_reply(Reassembler& reply) {
+    if (!ring) ring = std::make_unique<ReceiveRing>();
     for (;;) {
-      const ssize_t n = ::recv(fd, buffer.data(), buffer.size(), 0);
+      const int n = ring->receive(fd);
       if (n < 0) {
         if (errno == EINTR) continue;
-        if (errno == EAGAIN || errno == EWOULDBLOCK) {
-          *timed_out = true;
-          return Bytes{};
-        }
-        return errno_error("recv");
+        if (errno == EAGAIN || errno == EWOULDBLOCK) return false;
+        return errno_error("recvmmsg");
       }
-      auto fragment = parse_fragment(
-          ByteSpan(buffer.data(), static_cast<std::size_t>(n)));
-      if (!fragment.ok()) continue;
-      if (fragment.value().message_id != message_id) continue;  // stale
-      if (assembly.add(fragment.value())) return assembly.join();
+      bool complete = false;
+      for (int i = 0; i < n; ++i) {
+        const auto fragment = Fragment::parse(ring->datagram(i));
+        if (fragment.ok() && reply.add(fragment.value())) complete = true;
+      }
+      if (complete) return true;
     }
   }
 };
@@ -997,6 +1054,10 @@ Result<Reply> UdpTransport::call(const Request& request) {
   std::lock_guard<std::mutex> call_lock(impl_->call_mu);
   const std::uint64_t message_id = impl_->next_message_id++;
   Bytes wire = request.encode();
+  // Kept across attempts: a retransmitted reply fills in what an earlier
+  // copy lost.
+  Reassembler reply_wire;
+  reply_wire.reset(message_id);
   // With a deadline, the trailer's last 8 bytes are the remaining budget;
   // each attempt re-stamps them in place (the rest of the wire is
   // identical), so the server always sees how much time this call has
@@ -1015,8 +1076,8 @@ Result<Reply> UdpTransport::call(const Request& request) {
       if (remaining_us <= 0) {
         return Error(ErrorCode::deadline_expired, "call budget exhausted");
       }
-      store_le_u64(wire.data() + wire.size() - 8,
-                   static_cast<std::uint64_t>(remaining_us));
+      store_le(wire.data() + wire.size() - 8,
+               static_cast<std::uint64_t>(remaining_us), 8);
     }
     if (attempt > 0) retransmissions_.fetch_add(1, std::memory_order_relaxed);
     int timeout_ms = backoff_timeout_ms(impl_->options, attempt);
@@ -1026,15 +1087,14 @@ Result<Reply> UdpTransport::call(const Request& request) {
     }
     BULLET_RETURN_IF_ERROR(set_recv_timeout(impl_->fd, timeout_ms));
     BULLET_RETURN_IF_ERROR(
-        send_message(impl_->fd, impl_->server, message_id, wire));
-    bool timed_out = false;
-    BULLET_ASSIGN_OR_RETURN(Bytes reply_wire,
-                            impl_->await_reply(message_id, &timed_out));
-    if (timed_out) {
+        send_message_batched(impl_->fd, impl_->server, message_id, wire));
+    BULLET_ASSIGN_OR_RETURN(const bool complete,
+                            impl_->await_reply(reply_wire));
+    if (!complete) {
       last_was_pushback = false;
       continue;
     }
-    BULLET_ASSIGN_OR_RETURN(Reply reply, Reply::decode(reply_wire));
+    BULLET_ASSIGN_OR_RETURN(Reply reply, Reply::decode(reply_wire.take()));
     if (reply.status != ErrorCode::retry_later) return reply;
     last_was_pushback = true;
     // BS_PUSHBACK: the server shed this request without executing it and

@@ -4,8 +4,9 @@
 // benches on virtual time). This transport makes the same servers reachable
 // over an actual socket, which is what a downstream user deploys:
 //
-//  * messages are fragmented into <= kFragmentPayload datagrams with a
-//    {message id, fragment index/count} header and reassembled on receipt;
+//  * messages are fragmented into datagrams of kFragmentPayload bytes (the
+//    last one shorter) with a {message id, fragment index/count} header,
+//    and reassembled on receipt with one copy of each payload byte;
 //  * the client retransmits the whole request on timeout (the reply is the
 //    acknowledgement, as in Amoeba RPC);
 //  * the server keeps a bounded cache of recently sent replies keyed by
@@ -21,9 +22,11 @@
 // ordered queues: requests from one client endpoint execute one at a time
 // in arrival order (preserving the retransmit/dedup semantics), while
 // requests from different clients execute concurrently — services must be
-// thread-safe in this mode. Replies are sent with sendmmsg, two iovecs per
-// fragment (header + payload slice), so the payload is never copied into
-// per-fragment buffers.
+// thread-safe in this mode. Every message — request, reply, pushback,
+// retransmit answer — is sent by one sendmmsg gather: each datagram is its
+// fragment header plus one iovec per slice of the message's parts, so a
+// READ reply leaves straight from the pinned cache span, never copied into
+// a wire buffer first.
 //
 // Continuations: requests are dispatched through Service::handle_async().
 // A service may defer its reply (e.g. a cache-miss read that submits disk
@@ -31,10 +34,10 @@
 // *parks* the client — it returns to the pool and serves other clients,
 // while the parked client's queue stays owned so no later request from the
 // same endpoint can overtake the deferred reply. When the reply arrives it
-// is encoded, cached for retransmit suppression, and sent from the
-// completing thread, and only then is the client released back to the
-// ready list — per-client ordering and at-most-once execution hold exactly
-// as in the synchronous path.
+// is sent from the completing thread, then encoded into the retransmit
+// cache, and only then is the client released back to the ready list —
+// per-client ordering and at-most-once execution hold exactly as in the
+// synchronous path.
 #pragma once
 
 #include <atomic>
@@ -53,9 +56,69 @@
 
 namespace bullet::rpc {
 
-// Payload bytes per datagram; comfortably under typical loopback MTUs once
-// the 20-byte fragment header is added.
-inline constexpr std::size_t kFragmentPayload = 16 * 1024;
+// Payload bytes per datagram. Every fragment of a message but the last
+// carries exactly this many, the last at most this many. 63 KiB plus the
+// 20-byte fragment header and 28 bytes of IPv4/UDP headers stays under the
+// 65 535-byte IPv4 datagram limit and the 65 536-byte loopback MTU (the
+// transport binds 127.0.0.1 only), so a 1 MB reply is 17 datagrams.
+inline constexpr std::size_t kFragmentPayload = 63 * 1024;
+
+// Fragment header: magic u32 ‖ message id u64 ‖ index u16 ‖ count u16 ‖
+// payload length u32, followed by the payload.
+inline constexpr std::size_t kFragmentHeader = 20;
+
+// One datagram, parsed: header fields plus a view of the payload.
+struct Fragment {
+  std::uint64_t message_id = 0;
+  std::uint16_t index = 0;
+  std::uint16_t count = 0;
+  ByteSpan payload;
+
+  // Header and payload as one datagram (tests; the transport gathers the
+  // header and the payload's slices in place instead).
+  Bytes encode() const;
+  // Rejects a wrong magic, a length that disagrees with the datagram,
+  // count == 0 and index >= count.
+  static Result<Fragment> parse(ByteSpan datagram);
+};
+
+// Rebuilds one message from its fragments with one copy of each payload
+// byte: fragment i lands at offset i * kFragmentPayload of one buffer, and
+// a bitmap drops duplicates. The server's receive thread and the client
+// both use it.
+//
+// The first fragment reserves the buffer, up to kMaxReserve bytes, and
+// in-order fragments append into that capacity, so the normal case
+// zero-fills nothing. A fragment is dropped when its count differs from
+// the first accepted one's, when it is not the last and carries other than
+// kFragmentPayload bytes, or the last and carries more. It is also
+// dropped while it would put the buffer's end past
+// max(kMaxReserve, (received + 1) * kFragmentPayload): memory follows the
+// bytes that actually arrived, so a hostile count or index cannot make the
+// receiver allocate count * kFragmentPayload. The whole-message
+// retransmit brings such a fragment again once the ones before it are in.
+class Reassembler {
+ public:
+  static constexpr std::size_t kMaxReserve = 32 * kFragmentPayload;
+
+  // Start over for `message_id`, dropping any partial message.
+  void reset(std::uint64_t message_id);
+  // Feed one fragment; true once the message is complete. Fragments of
+  // any other message id are dropped.
+  bool add(const Fragment& fragment);
+  // The complete message (after add() returned true); starts over for the
+  // same message id.
+  Bytes take();
+
+  std::uint64_t message_id() const noexcept { return message_id_; }
+
+ private:
+  std::uint64_t message_id_ = 0;
+  std::uint16_t count_ = 0;  // 0 until the first accepted fragment
+  std::uint16_t received_ = 0;
+  std::vector<std::uint64_t> seen_;  // bitmap by fragment index
+  Bytes buffer_;
+};
 
 // The server's retransmit-suppression cache: (peer, message id) -> encoded
 // reply, FIFO-evicted when over the entry bound OR the byte bound. The byte

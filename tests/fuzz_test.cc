@@ -4,11 +4,16 @@
 // arrives on the wire.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <optional>
+
 #include "bullet/server.h"
 #include "dir/server.h"
 #include "logsvc/server.h"
 #include "nfsbase/server.h"
 #include "rpc/message.h"
+#include "rpc/udp_transport.h"
 #include "tests/test_util.h"
 
 namespace bullet {
@@ -171,6 +176,265 @@ TEST(FuzzTest, EditScriptsSurviveGarbageOffsets) {
     }
     (void)wire::apply_edits(base, edits);  // error or success, never crash
   }
+}
+
+// --- fragment reassembly ------------------------------------------------------
+
+constexpr std::size_t kFrag = rpc::kFragmentPayload;
+
+// `message` split into its fragments, as the transport sends it.
+std::vector<rpc::Fragment> fragments_of(std::uint64_t id, ByteSpan message) {
+  const std::size_t count =
+      std::max<std::size_t>(1, (message.size() + kFrag - 1) / kFrag);
+  std::vector<rpc::Fragment> out;
+  for (std::size_t i = 0; i < count; ++i) {
+    rpc::Fragment f;
+    f.message_id = id;
+    f.index = static_cast<std::uint16_t>(i);
+    f.count = static_cast<std::uint16_t>(count);
+    f.payload = message.subspan(i * kFrag,
+                                std::min(kFrag, message.size() - i * kFrag));
+    out.push_back(f);
+  }
+  return out;
+}
+
+// Feed `stream` to a reassembler for message `id`. Returns the message and
+// how many fragments it took, or nullopt if it never completed.
+std::optional<std::pair<Bytes, std::size_t>> reassemble(
+    std::uint64_t id, const std::vector<rpc::Fragment>& stream) {
+  rpc::Reassembler reassembler;
+  reassembler.reset(id);
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    if (reassembler.add(stream[i])) {
+      return std::make_pair(reassembler.take(), i + 1);
+    }
+  }
+  return std::nullopt;
+}
+
+template <typename T>
+void shuffle(std::vector<T>& v, Rng& rng) {
+  for (std::size_t i = v.size(); i > 1; --i) {
+    std::swap(v[i - 1], v[rng.next_below(i)]);
+  }
+}
+
+TEST(FuzzTest, ReassemblerTakesFragmentsOutOfOrderAndDuplicated) {
+  Rng rng(0xF7A6);
+  for (const std::size_t size :
+       {std::size_t{0}, std::size_t{1}, kFrag - 1, kFrag, kFrag + 1,
+        5 * kFrag + 123, 8 * kFrag}) {
+    const Bytes message = payload(size, size);
+    const auto genuine = fragments_of(9, message);
+    for (int round = 0; round < 20; ++round) {
+      std::vector<rpc::Fragment> stream = genuine;
+      for (int dup = 0; dup < 5; ++dup) {
+        stream.push_back(genuine[rng.next_below(genuine.size())]);
+      }
+      shuffle(stream, rng);
+      // Completes on the fragment that makes the set whole, not before.
+      std::vector<bool> seen(genuine.size());
+      std::size_t needed = 0;
+      for (std::size_t distinct = 0; distinct < genuine.size(); ++needed) {
+        if (!seen[stream[needed].index]) {
+          seen[stream[needed].index] = true;
+          ++distinct;
+        }
+      }
+      const auto got = reassemble(9, stream);
+      ASSERT_TRUE(got.has_value()) << size;
+      EXPECT_EQ(needed, got->second) << size;
+      EXPECT_TRUE(equal(message, got->first)) << size;
+    }
+  }
+}
+
+TEST(FuzzTest, ReassemblerDropsFragmentsThatBreakTheRules) {
+  const Bytes message = payload(3 * kFrag + 500, 3);
+  const auto genuine = fragments_of(4, message);  // 4 fragments
+  const Bytes junk = payload(kFrag + 1, 99);
+  const ByteSpan junk_span(junk);
+
+  rpc::Fragment changed_count = genuine[1];
+  changed_count.count = 5;
+  rpc::Fragment short_middle = genuine[2];
+  short_middle.payload = junk_span.first(kFrag - 1);
+  rpc::Fragment oversize_last = genuine[3];
+  oversize_last.payload = junk_span.first(kFrag + 1);
+  rpc::Fragment index_past_count = genuine[0];
+  index_past_count.index = 4;
+  rpc::Fragment other_message = genuine[1];
+  other_message.message_id = 5;
+  other_message.payload = junk_span.first(kFrag);
+  // A last fragment under a count that differs from the first one's.
+  rpc::Fragment short_count_last = genuine[2];
+  short_count_last.count = 3;
+  short_count_last.payload = junk_span.first(100);
+
+  rpc::Reassembler reassembler;
+  reassembler.reset(4);
+  EXPECT_FALSE(reassembler.add(genuine[0]));  // fixes count = 4
+  for (const rpc::Fragment& bad :
+       {changed_count, short_middle, oversize_last, index_past_count,
+        other_message, short_count_last}) {
+    EXPECT_FALSE(reassembler.add(bad));
+  }
+  EXPECT_FALSE(reassembler.add(genuine[1]));
+  EXPECT_FALSE(reassembler.add(genuine[2]));
+  EXPECT_FALSE(reassembler.add(genuine[0]));  // duplicate
+  EXPECT_TRUE(reassembler.add(genuine[3]));
+  EXPECT_TRUE(equal(message, reassembler.take()));
+
+  // The wire parser already refuses index >= count and count == 0.
+  for (const auto& [index, count] :
+       {std::pair<int, int>{4, 4}, {0, 0}, {7, 3}}) {
+    rpc::Fragment f = genuine[0];
+    f.index = static_cast<std::uint16_t>(index);
+    f.count = static_cast<std::uint16_t>(count);
+    EXPECT_FALSE(rpc::Fragment::parse(f.encode()).ok()) << index << "/" << count;
+  }
+}
+
+TEST(FuzzTest, ReassemblerMemoryFollowsWhatArrived) {
+  // 40 fragments in reverse order: those that would put the buffer's end
+  // past max(kMaxReserve, (received + 1) * kFragmentPayload) are dropped,
+  // so the first pass cannot complete; sending them again once the ones
+  // before them are in completes the exact message.
+  const std::size_t reserve_fragments = rpc::Reassembler::kMaxReserve / kFrag;
+  const Bytes message = payload((reserve_fragments + 7) * kFrag + 9, 40);
+  const auto genuine = fragments_of(2, message);
+  rpc::Reassembler reassembler;
+  reassembler.reset(2);
+  for (std::size_t i = genuine.size(); i-- > 0;) {
+    EXPECT_FALSE(reassembler.add(genuine[i])) << i;
+  }
+  for (std::size_t i = reserve_fragments; i + 1 < genuine.size(); ++i) {
+    EXPECT_FALSE(reassembler.add(genuine[i])) << i;
+  }
+  EXPECT_TRUE(reassembler.add(genuine.back()));
+  EXPECT_TRUE(equal(message, reassembler.take()));
+
+  // A first fragment claiming 65535 fragments, and its last one, cost no
+  // more than the reserve: the far-off last fragment is dropped.
+  rpc::Fragment hostile = genuine[0];
+  hostile.count = 0xFFFF;
+  reassembler.reset(2);
+  EXPECT_FALSE(reassembler.add(hostile));
+  hostile.index = 0xFFFE;
+  hostile.payload = ByteSpan(message).first(10);
+  EXPECT_FALSE(reassembler.add(hostile));
+}
+
+// The acceptance rules written out independently; fuzzed streams must get
+// the same verdict for every fragment from it and from the reassembler.
+struct ReassemblyModel {
+  std::uint64_t id = 0;
+  std::uint16_t count = 0;
+  std::map<std::uint16_t, Bytes> parts;
+
+  bool add(const rpc::Fragment& f) {
+    if (f.message_id != id || f.index >= f.count) return false;
+    if (count != 0 && f.count != count) return false;
+    const std::size_t size = f.payload.size();
+    if (f.index + 1 == f.count ? size > kFrag : size != kFrag) return false;
+    if (f.index * kFrag + size >
+        std::max(rpc::Reassembler::kMaxReserve, (parts.size() + 1) * kFrag)) {
+      return false;
+    }
+    if (parts.count(f.index) > 0) return false;
+    count = f.count;  // the first accepted fragment fixes it
+    parts.emplace(f.index, Bytes(f.payload.begin(), f.payload.end()));
+    return parts.size() == count;
+  }
+  Bytes join() const {
+    Bytes out;
+    for (const auto& [index, part] : parts) append(out, part);
+    return out;
+  }
+};
+
+TEST(FuzzTest, ReassemblerSurvivesMutatedFragmentStreams) {
+  Rng rng(0xF7A7);
+  int completed = 0;
+  int exact = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    const Bytes message = payload(rng.next_below(5 * kFrag + 2), trial);
+    const auto genuine = fragments_of(7, message);
+    // Three copies of each datagram, each either as sent or (half the
+    // time) mutated: header bits flipped, the datagram truncated or
+    // extended, or a random payload length.
+    std::vector<Bytes> datagrams;
+    for (int copies = 0; copies < 3; ++copies) {
+      for (const rpc::Fragment& f : genuine) {
+        Bytes d = f.encode();
+        switch (rng.next_below(10)) {
+          case 0:
+            d[rng.next_below(rpc::kFragmentHeader)] ^=
+                static_cast<std::uint8_t>(1u << rng.next_below(8));
+            break;
+          case 1:
+            d.resize(rng.next_below(d.size() + 1));
+            break;
+          case 2: {
+            Bytes extra(rng.next_below(64) + 1);
+            rng.fill(extra);
+            append(d, extra);
+            break;
+          }
+          case 3: {
+            // A consistent header around a payload of random length.
+            const std::size_t n = rng.next_below(kFrag + 2);
+            rpc::Fragment g = f;
+            const Bytes body = payload(n, rng.next());
+            g.payload = body;
+            d = g.encode();
+            break;
+          }
+          case 4:
+            // Index and count from the same random draw, within the header.
+            d[12 + rng.next_below(4)] = static_cast<std::uint8_t>(rng.next());
+            break;
+          default:
+            break;  // as sent
+        }
+        datagrams.push_back(std::move(d));
+      }
+    }
+    shuffle(datagrams, rng);
+
+    rpc::Reassembler reassembler;
+    reassembler.reset(7);
+    ReassemblyModel model;
+    model.id = 7;
+    bool tainted = false;  // some accepted fragment differs from the original
+    for (const Bytes& d : datagrams) {
+      const auto f = rpc::Fragment::parse(d);
+      if (!f.ok()) continue;
+      const bool model_done = model.add(f.value());
+      const bool done = reassembler.add(f.value());
+      ASSERT_EQ(model_done, done) << "trial " << trial;
+      const rpc::Fragment& v = f.value();
+      if (model.parts.count(v.index) > 0 &&
+          (v.index >= genuine.size() || v.count != genuine.size() ||
+           !equal(model.parts.at(v.index), genuine[v.index].payload))) {
+        tainted = true;
+      }
+      if (done) {
+        const Bytes got = reassembler.take();
+        ASSERT_TRUE(equal(model.join(), got)) << "trial " << trial;
+        ++completed;
+        if (!tainted) {
+          ASSERT_TRUE(equal(message, got)) << "trial " << trial;
+          ++exact;
+        }
+        break;
+      }
+    }
+  }
+  // The byte-exact check must not be vacuous.
+  EXPECT_GT(completed, 150);
+  EXPECT_GT(exact, 100);
 }
 
 }  // namespace

@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -16,6 +18,7 @@
 #include "bullet/server.h"
 #include "common/crc.h"
 #include "rpc/udp_transport.h"
+#include "tests/raw_udp.h"
 #include "tests/test_util.h"
 
 namespace bullet {
@@ -199,6 +202,98 @@ TEST(UdpStressTest, SharedConnectionGivesEachCallerItsOwnReply) {
   EXPECT_EQ(0, failures.load());
   EXPECT_EQ(static_cast<std::uint64_t>(kThreads * 10), h.server().live_files());
   udp.value()->stop();
+}
+
+// A READ reply leaves straight from the pinned cache span and is copied
+// into the retransmit cache only afterwards. A retransmit that arrives
+// while the read is parked on the disk must be suppressed, not executed;
+// one that arrives after the reply must get the byte-identical cached
+// reply; the file is read exactly once. Both server execution modes.
+void retransmit_around_a_borrowed_reply(unsigned workers) {
+  MemDisk main(512, 8192), mirror_disk(512, 8192);
+  ASSERT_OK(BulletServer::format(main, 64));
+  ASSERT_OK(mirror_disk.restore(main.snapshot()));
+  testing::GatedDisk gate(&main);
+  auto mirror = MirroredDisk::create({&gate, &mirror_disk});
+  ASSERT_TRUE(mirror.ok());
+  MirroredDisk disk = std::move(mirror).value();
+  BulletConfig config;
+  config.cache_bytes = 2 << 20;
+  config.io_threads = 1;
+
+  const Bytes data = testing::payload(3 * rpc::kFragmentPayload + 77, 8);
+  Capability cap;
+  {
+    auto server = BulletServer::start(&disk, config);
+    ASSERT_TRUE(server.ok());
+    auto created = server.value()->create(data, 2);
+    ASSERT_TRUE(created.ok());
+    cap = created.value();
+  }
+  // Fresh boot: the READ misses and parks in the gated device.
+  auto started = BulletServer::start(&disk, config);
+  ASSERT_TRUE(started.ok());
+  BulletServer& server = *started.value();
+  const auto objects = server.list_objects();
+  ASSERT_EQ(1u, objects.size());
+  gate.arm(objects[0].first_block, (data.size() + 511) / 512);
+
+  rpc::UdpServerOptions server_options;
+  server_options.workers = workers;
+  auto udp = rpc::UdpServer::start(server_options);
+  ASSERT_TRUE(udp.ok());
+  ASSERT_OK(udp.value()->register_service(&server));
+
+  rpc::Request request;
+  request.target = cap;
+  request.opcode = wire::kRead;
+  const Bytes wire_request = request.encode();
+  constexpr std::uint64_t kId = 41;
+  testing::RawUdpEndpoint raw(udp.value()->port());
+  const std::uint64_t reads_before = server.stats().reads;
+
+  raw.send_message(kId, wire_request);
+  gate.wait_held(1);
+  raw.send_message(kId, wire_request);  // retransmit while parked
+  for (int i = 0; i < 500 && udp.value()->duplicates_suppressed() < 1; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  EXPECT_EQ(1u, udp.value()->duplicates_suppressed());
+  EXPECT_FALSE(raw.receive(kId, 50).has_value());  // suppressed: no answer
+  EXPECT_EQ(1u, gate.range_reads());
+
+  gate.release();
+  const std::optional<Bytes> first = raw.receive(kId, 2000);
+  ASSERT_TRUE(first.has_value());
+  // Retransmit again after the reply. One landing before the cache insert
+  // still meets the in-flight mark and is dropped, so retry as a client
+  // would until the cached copy answers.
+  std::optional<Bytes> again;
+  for (int attempt = 0; attempt < 20 && !again; ++attempt) {
+    raw.send_message(kId, wire_request);
+    again = raw.receive(kId, 100);
+  }
+  ASSERT_TRUE(again.has_value());
+  EXPECT_TRUE(equal(*first, *again));
+
+  auto reply = rpc::Reply::decode(*first);
+  ASSERT_TRUE(reply.ok());
+  ASSERT_EQ(ErrorCode::ok, reply.value().status);
+  Reader r(reply.value().body);
+  auto bytes = r.blob();
+  ASSERT_TRUE(bytes.ok());
+  EXPECT_TRUE(equal(data, bytes.value()));
+  EXPECT_EQ(reads_before + 1, server.stats().reads);
+  EXPECT_EQ(1u, gate.range_reads());
+  udp.value()->stop();
+}
+
+TEST(UdpStressTest, RetransmitAroundABorrowedReply) {
+  retransmit_around_a_borrowed_reply(/*workers=*/0);
+}
+
+TEST(UdpStressTest, RetransmitAroundABorrowedReplyWorkerPool) {
+  retransmit_around_a_borrowed_reply(/*workers=*/2);
 }
 
 }  // namespace

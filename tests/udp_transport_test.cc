@@ -3,9 +3,13 @@
 // suppression (at-most-once execution).
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <string>
+
 #include "bullet/client.h"
 #include "bullet/server.h"
 #include "rpc/udp_transport.h"
+#include "tests/raw_udp.h"
 #include "tests/test_util.h"
 
 namespace bullet {
@@ -57,13 +61,144 @@ TEST_F(UdpTest, LargeMessagesAreFragmented) {
   start_server();
   auto transport = connect();
   BulletClient client(transport.get(), h_.server().super_capability());
-  // 200 KB: ~13 fragments each way.
+  // 200 KB: 4 fragments each way.
   const Bytes data = payload(200 * 1024, 1);
   auto cap = client.create(data, 1);
   ASSERT_TRUE(cap.ok());
   auto read = client.read(cap.value());
   ASSERT_TRUE(read.ok());
   EXPECT_TRUE(equal(data, read.value()));
+}
+
+// Files whose READ replies (6-byte reply header, 4-byte length, bytes) end
+// at and around fragment boundaries, including sizes where the file alone
+// would fit a fragment but its 10 header bytes push the reply into the
+// next one. Every byte is checked.
+void round_trip_fragment_boundaries(std::uint32_t drop_one_in) {
+  constexpr std::size_t kFrag = rpc::kFragmentPayload;
+  constexpr std::size_t kHeaders = 10;
+  BulletHarness::Options harness;
+  harness.disk_blocks = 1 << 15;   // 16 MB per replica
+  harness.cache_bytes = 8 << 20;  // holds the 4 MB file
+  BulletHarness h(harness);
+  rpc::UdpServerOptions options;
+  options.drop_one_in = drop_one_in;
+  options.loss_seed = 11;
+  auto server = rpc::UdpServer::start(options);
+  ASSERT_TRUE(server.ok());
+  ASSERT_OK(server.value()->register_service(&h.server()));
+  rpc::UdpClientOptions client_options;
+  client_options.server_udp_port = server.value()->port();
+  client_options.timeout_ms = 100;
+  client_options.max_timeout_ms = 400;
+  client_options.max_attempts = 30;
+  auto transport = rpc::UdpTransport::connect(client_options);
+  ASSERT_TRUE(transport.ok());
+  BulletClient client(transport.value().get(), h.server().super_capability());
+
+  std::vector<std::size_t> sizes = {0, 1, 1 << 20, 4 << 20};
+  for (const std::size_t reply : {kFrag - 10, kFrag - 6, kFrag - 1, kFrag,
+                                  kFrag + 1, 2 * kFrag}) {
+    sizes.push_back(reply - kHeaders);
+  }
+  for (std::size_t straddle = 1; straddle < kHeaders; straddle += 4) {
+    sizes.push_back(kFrag - kHeaders + straddle);  // reply just over kFrag
+  }
+  sizes.push_back(kFrag);
+  for (const std::size_t size : sizes) {
+    const Bytes data = payload(size, size + 1);
+    auto cap = client.create(data, 1);
+    ASSERT_TRUE(cap.ok()) << size << ": " << cap.error().to_string();
+    auto read = client.read(cap.value());
+    ASSERT_TRUE(read.ok()) << size << ": " << read.error().to_string();
+    EXPECT_TRUE(equal(data, read.value())) << size;
+    if (size > 20) {
+      // A range whose reply straddles the first boundary too.
+      auto range = client.read_range(cap.value(), 7,
+                                     static_cast<std::uint32_t>(size - 20));
+      ASSERT_TRUE(range.ok()) << size;
+      EXPECT_TRUE(equal(ByteSpan(data).subspan(7, size - 20), range.value()))
+          << size;
+    }
+  }
+  if (drop_one_in > 0) {
+    EXPECT_GT(server.value()->dropped(), 0u);
+  }
+  server.value()->stop();
+}
+
+TEST(UdpFragmentTest, BoundarySizesRoundTrip) {
+  round_trip_fragment_boundaries(/*drop_one_in=*/0);
+}
+
+TEST(UdpFragmentTest, BoundarySizesRoundTripUnderLoss) {
+  round_trip_fragment_boundaries(/*drop_one_in=*/20);
+}
+
+// Resident set of this process, in bytes.
+std::uint64_t resident_bytes() {
+  std::ifstream statm("/proc/self/statm");
+  std::uint64_t pages = 0, resident = 0;
+  statm >> pages >> resident;
+  return resident * static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
+}
+
+// A client that abandons multi-fragment messages, or forges first
+// fragments claiming 65535 fragments, costs the server at most one partial
+// message per endpoint: thousands of them leave memory flat, and the next
+// real request from the same endpoint is answered.
+TEST_F(UdpTest, AbandonedFragmentsDoNotAccumulate) {
+  start_server();
+  testing::RawUdpEndpoint raw(udp_server_->port());
+  const Bytes filler = payload(rpc::kFragmentPayload, 3);
+  const std::uint64_t resident_before = resident_bytes();
+  rpc::Fragment bogus;
+  bogus.index = 0;
+  bogus.count = 0xFFFF;
+  bogus.payload = filler;
+  // One datagram, its message id (bytes 4-11) rewritten for each send, so
+  // the sender itself allocates nothing per datagram.
+  Bytes datagram = bogus.encode();
+  // Every 32 datagrams (~2 MB, well inside the server's socket buffer) a
+  // round trip from a second client: the receive thread serves the socket
+  // in order, so its reply means the bogus fragments before it were all
+  // taken in rather than dropped by the kernel.
+  auto probe = connect();
+  rpc::Request ping;
+  ping.target.port = Port(0xDEAD);  // answered unreachable, no service
+  constexpr std::uint64_t kBogus = 3000;
+  for (std::uint64_t id = 1; id <= kBogus; ++id) {
+    for (int i = 0; i < 8; ++i) {
+      datagram[4 + i] = static_cast<std::uint8_t>(id >> (8 * i));
+    }
+    raw.send(datagram);
+    if (id % 32 == 0) {
+      ASSERT_TRUE(probe->call(ping).ok());
+    }
+  }
+
+  // Then a real two-fragment CREATE from the same endpoint.
+  const Bytes data = payload(rpc::kFragmentPayload + 100, 4);
+  rpc::Request request;
+  request.target = h_.server().super_capability();
+  request.opcode = wire::kCreate;
+  Writer w;
+  w.u8(1);
+  w.blob(data);
+  request.body = std::move(w).take();
+  const Bytes wire_request = request.encode();
+  std::optional<Bytes> answer;
+  for (int attempt = 0; attempt < 20 && !answer; ++attempt) {
+    raw.send_message(kBogus + 1, wire_request);
+    answer = raw.receive(kBogus + 1, 250);
+  }
+  ASSERT_TRUE(answer.has_value());
+  auto reply = rpc::Reply::decode(std::move(*answer));
+  ASSERT_TRUE(reply.ok());
+  EXPECT_EQ(ErrorCode::ok, reply.value().status);
+  EXPECT_EQ(1u, h_.server().live_files());
+  // Memory stays flat: one partial message per endpoint is a few MB.
+  EXPECT_LT(resident_bytes(), resident_before + (64u << 20));
 }
 
 TEST_F(UdpTest, ErrorsCrossTheWire) {
