@@ -268,7 +268,6 @@ struct PhaseResult {
   obs::HistogramSnapshot lag_ns;       // scheduled arrival -> actual issue
   // Server-counter deltas across the phase.
   std::uint64_t shed_pushback = 0;
-  std::uint64_t shed_dropped = 0;
   std::uint64_t deadline_expired = 0;
   std::uint64_t inflight_sheds = 0;
 };
@@ -390,7 +389,6 @@ PhaseResult run_phase(Rig& rig, const std::vector<Capability>& files,
 
   const auto after = rig.server().stats();
   result.shed_pushback = after.shed_pushback - before.shed_pushback;
-  result.shed_dropped = after.shed_dropped - before.shed_dropped;
   result.deadline_expired = after.deadline_expired - before.deadline_expired;
   result.inflight_sheds = after.inflight_sheds - before.inflight_sheds;
   return result;
@@ -415,7 +413,6 @@ void emit_phase(JsonWriter& json, const PhaseResult& r) {
   json.field("injection_lag_p99_ns", r.lag_ns.quantile(0.99));
   json.begin_object("server_deltas");
   json.field("shed_pushback", r.shed_pushback);
-  json.field("shed_dropped", r.shed_dropped);
   json.field("deadline_expired", r.deadline_expired);
   json.field("inflight_sheds", r.inflight_sheds);
   json.end_object();
@@ -535,7 +532,6 @@ int run(bool smoke, bool check, std::uint64_t seed, double zipf_s,
   json.field("acked_lost_total", acked_lost_total);
   json.begin_object("counters");
   json.field("shed_pushback", stats.shed_pushback);
-  json.field("shed_dropped", stats.shed_dropped);
   json.field("deadline_expired", stats.deadline_expired);
   json.field("rx_queue_depth_max", stats.rx_queue_depth_max);
   json.field("inflight_sheds", stats.inflight_sheds);
@@ -557,7 +553,7 @@ int run(bool smoke, bool check, std::uint64_t seed, double zipf_s,
       return 1;
     }
     const std::uint64_t engaged =
-        at2->shed_pushback + at2->shed_dropped + at2->deadline_expired;
+        at2->shed_pushback + at2->deadline_expired;
     if (engaged == 0) {
       std::fprintf(stderr,
                    "FAIL: 2x phase never engaged the overload plane (no "

@@ -63,9 +63,9 @@ class BulletClient {
 
   // Stamp every subsequent request from this client with `id` (0 = none).
   // A nonzero id forces the server to trace those requests regardless of
-  // its sampling rate. The id rides in a request trailer that is absent
-  // when zero, so a client that never sets one emits the pre-tracing wire
-  // format byte for byte; setting one requires a trace-aware server.
+  // its sampling rate. The id rides the request trailer (rpc/message.h),
+  // which is absent while the trace id, deadline and message id are all
+  // zero.
   void set_trace_id(std::uint64_t id) noexcept { trace_id_ = id; }
   std::uint64_t trace_id() const noexcept { return trace_id_; }
 
@@ -74,8 +74,7 @@ class BulletClient {
   // it on every retransmit, an overloaded server answers with BS_PUSHBACK
   // instead of silently queueing, expired requests are dropped at dequeue
   // rather than executed, and the call fails with deadline_expired once
-  // the budget is gone. Like trace ids, a nonzero budget widens the
-  // trailer, so setting one requires an overload-aware server.
+  // the budget is gone.
   void set_deadline_budget_ms(std::uint32_t ms) noexcept {
     deadline_budget_us_ = static_cast<std::uint64_t>(ms) * 1000;
   }
@@ -89,9 +88,8 @@ class BulletClient {
   // failover — a FailoverTransport re-sends the same Request object — so a
   // replicated server applies the operation exactly once no matter which
   // replica finally answers. Distinct clients must use disjoint seed
-  // ranges (e.g. client index in the high bits). Like trace ids, a
-  // nonzero id widens the request trailer, so enabling ids requires a
-  // replication-aware server.
+  // ranges (e.g. client index in the high bits). The id rides the same
+  // request trailer as the trace id and deadline.
   void enable_message_ids(std::uint64_t seed) noexcept {
     next_message_id_ = seed | 1;
   }

@@ -74,7 +74,6 @@ BulletServer::ReplStatusInfo BulletServer::repl_status() const {
   ReplStatusInfo info;
   info.role = repl_.role;
   info.peer_healthy = repl_.peer_healthy;
-  info.peer_incompatible = repl_.peer_incompatible;
   info.resyncing = repl_.resyncing;
   info.resync_total = repl_.resync_total;
   info.resync_done = repl_.resync_done;
@@ -284,9 +283,6 @@ Result<Bytes> BulletServer::peer_call(Bytes body) {
     if (repl_.peer == nullptr) {
       return Error(ErrorCode::bad_state, "no replica attached");
     }
-    if (repl_.peer_incompatible) {
-      return Error(ErrorCode::not_supported, "peer is replication-unaware");
-    }
     peer = repl_.peer;
   }
   rpc::Request req;
@@ -304,14 +300,6 @@ Result<Bytes> BulletServer::peer_call(Bytes body) {
     repl_.peer_healthy = false;
     return reply.error();
   }
-  if (reply.value().status == ErrorCode::not_supported) {
-    BULLET_LOG(warn, kLog)
-        << "peer rejected the replication opcode (legacy server); "
-           "running solo permanently";
-    repl_.peer_incompatible = true;
-    repl_.peer_healthy = false;
-    return Error(ErrorCode::not_supported, "peer is replication-unaware");
-  }
   // The peer answered: it is alive even if it refused this operation.
   repl_.peer_healthy = true;
   if (reply.value().status != ErrorCode::ok) {
@@ -324,7 +312,7 @@ bool BulletServer::pushing() const {
   std::lock_guard lock(repl_mu_);
   // Solo / degraded: resync reconciles later.
   return repl_.peer != nullptr && repl_.role != ReplRole::kSolo &&
-         !repl_.peer_incompatible && repl_.peer_healthy;
+         repl_.peer_healthy;
 }
 
 void BulletServer::push_then(Bytes push, std::function<void()> then) {
@@ -390,9 +378,6 @@ Result<wire::ReplResyncReport> BulletServer::resync_with_peer() {
     std::lock_guard lock(repl_mu_);
     if (repl_.peer == nullptr) {
       return Error(ErrorCode::bad_state, "no replica attached");
-    }
-    if (repl_.peer_incompatible) {
-      return Error(ErrorCode::not_supported, "peer is replication-unaware");
     }
     if (repl_.resyncing) {
       return Error(ErrorCode::bad_state, "resync already running");

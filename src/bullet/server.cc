@@ -142,7 +142,6 @@ BulletServer::BulletServer(MirroredDisk* disk, BulletConfig config,
     e.value("bullet_compact_steps_total", s.compact_steps);
     e.value("bullet_compact_lock_hold_ns_max", s.compact_lock_hold_ns_max);
     e.value("bullet_shed_pushback_total", s.shed_pushback);
-    e.value("bullet_shed_dropped_total", s.shed_dropped);
     e.value("bullet_deadline_expired_total", s.deadline_expired);
     e.value("bullet_rx_queue_depth_max", s.rx_queue_depth_max);
     e.value("bullet_inflight_sheds_total", s.inflight_sheds);
@@ -564,8 +563,7 @@ void BulletServer::read_miss_async(const Capability& cap, ReadCallback done) {
   // Admission: a new fill means a new device read; at the bound, shed now
   // — before any cache allocation or queue submission — so overload costs
   // O(1) and the disk path stays clear for admitted work. The transport
-  // turns retry_later into BS_PUSHBACK (or a silent drop for clients that
-  // cannot parse it).
+  // turns retry_later into BS_PUSHBACK.
   if (config_.max_inflight_fills > 0 &&
       fills_.size() >= config_.max_inflight_fills) {
     ++inflight_sheds_;
@@ -1319,12 +1317,6 @@ Result<BulletServer::CompactProgress> BulletServer::compact_step_locked(
   if (max_blocks == 0) max_blocks = 1;
   const std::uint64_t bs = layout_.block_size();
 
-  if (!compact_.active) {
-    compact_ = CompactState{};
-    compact_.active = true;
-    compact_.cursor = layout_.data_start_block();
-  }
-
   // Files move through one fixed-size reusable chunk, not a per-file
   // buffer sized to the whole file (a 1 GB file must not demand a 1 GB
   // bounce).
@@ -1357,86 +1349,107 @@ Result<BulletServer::CompactProgress> BulletServer::compact_step_locked(
     return r;
   };
 
+  if (!compact_.active) {
+    // A pass moves a file only down into the hole directly below it. When
+    // every hole ends at the end of the data region or under an extent an
+    // in-flight fill holds in place, a pass would scan every inode to move
+    // nothing; finish it here instead.
+    const std::uint64_t region_end =
+        disk_free_.managed_start() + disk_free_.managed_length();
+    const bool nothing_to_move = std::all_of(
+        disk_free_.holes().begin(), disk_free_.holes().end(),
+        [&](const auto& hole) {
+          const std::uint64_t above = hole.first + hole.second;
+          return above == region_end ||
+                 std::any_of(fills_.begin(), fills_.end(), [&](const auto& f) {
+                   return f.second.blocks > 0 && f.second.first_block == above;
+                 });
+        });
+    if (nothing_to_move) return account(CompactProgress{0, true});
+    compact_ = CompactState{};
+    compact_.active = true;
+    compact_.cursor = layout_.data_start_block();
+  }
+
   if (!compact_.moving) {
-    // Scan for the next entry at or above the cursor: the lowest-placed
-    // live file, or an extent pinned under an in-flight erased fill.
+    // One scan per step: every extent at or above the cursor — live files,
+    // and extents pinned under an in-flight erased fill — in block order.
     // Entries with async I/O in flight (fills_) are immobile obstacles,
     // exactly like pinned entries in FileCache::compact — the cursor
-    // slides past them.
-    for (;;) {
-      std::uint64_t best_first = ~std::uint64_t{0};
-      std::uint64_t best_blocks = 0;
-      std::uint32_t best_inode = 0;
+    // slides past them, as it does past files already in place.
+    struct Extent {
+      std::uint64_t first = 0;
+      std::uint64_t blocks = 0;
+      std::uint32_t inode = 0;
       bool movable = false;
-      for (std::uint32_t i = 1; i < inodes_.size(); ++i) {
-        if (inodes_[i].is_free()) continue;
-        const std::uint64_t blocks = layout_.blocks_for(inodes_[i].size_bytes);
-        if (blocks == 0 || inodes_[i].first_block < compact_.cursor) continue;
-        if (inodes_[i].first_block < best_first) {
-          best_first = inodes_[i].first_block;
-          best_blocks = blocks;
-          best_inode = i;
-          movable = fills_.count(i) == 0;
-        }
-      }
-      for (const auto& [index, fill] : fills_) {
-        // An erased fill's extent is no longer in any inode but its blocks
-        // are still in flight; it sits in place until the fill completes.
-        if (!fill.erased || fill.blocks == 0) continue;
-        if (fill.first_block < compact_.cursor) continue;
-        if (fill.first_block < best_first) {
-          best_first = fill.first_block;
-          best_blocks = fill.blocks;
-          best_inode = 0;
-          movable = false;
-        }
-      }
-      if (best_first == ~std::uint64_t{0}) {
-        // Nothing above the cursor: the pass is complete.
-        const CompactProgress p{compact_.moved_total, true};
-        compact_.active = false;
-        return account(p);
-      }
-      if (best_first == compact_.cursor || !movable) {
-        compact_.cursor = best_first + best_blocks;
+    };
+    std::vector<Extent> extents;
+    for (std::uint32_t i = 1; i < inodes_.size(); ++i) {
+      if (inodes_[i].is_free()) continue;
+      const std::uint64_t blocks = layout_.blocks_for(inodes_[i].size_bytes);
+      if (blocks == 0 || inodes_[i].first_block < compact_.cursor) continue;
+      extents.push_back(
+          {inodes_[i].first_block, blocks, i, fills_.count(i) == 0});
+    }
+    for (const auto& [index, fill] : fills_) {
+      // An erased fill's extent is no longer in any inode but its blocks
+      // are still in flight; it sits in place until the fill completes.
+      if (!fill.erased || fill.blocks == 0) continue;
+      if (fill.first_block < compact_.cursor) continue;
+      extents.push_back({fill.first_block, fill.blocks, 0, false});
+    }
+    std::sort(extents.begin(), extents.end(),
+              [](const Extent& x, const Extent& y) { return x.first < y.first; });
+    bool started = false;
+    for (const Extent& e : extents) {
+      if (e.first < compact_.cursor) continue;
+      if (e.first == compact_.cursor || !e.movable) {
+        compact_.cursor = e.first + e.blocks;
         continue;
       }
       // Begin a move. Reserve the landing zone first; if a concurrent
       // create squatted part of the gap since the last step, yield and let
-      // the rescan see the new file.
+      // the next step's scan see the new file.
       const std::uint64_t target = compact_.cursor;
-      const std::uint64_t hole = best_first - target;
-      if (target + best_blocks <= best_first) {
-        if (!disk_free_.reserve(target, best_blocks).ok()) {
+      const std::uint64_t hole = e.first - target;
+      if (target + e.blocks <= e.first) {
+        if (!disk_free_.reserve(target, e.blocks).ok()) {
           return account(CompactProgress{compact_.moved_total, false});
         }
-        compact_.held.push_back({target, best_blocks});
+        compact_.held.push_back({target, e.blocks});
         compact_.hop = 0;
       } else {
         if (!disk_free_.reserve(target, hole).ok()) {
           return account(CompactProgress{compact_.moved_total, false});
         }
         compact_.held.push_back({target, hole});
-        const auto staging = disk_free_.allocate(best_blocks);
+        const auto staging = disk_free_.allocate(e.blocks);
         if (!staging.has_value()) {
           // No room to bounce; leave this file and pack beyond it.
           compact_abandon_move_locked();
-          compact_.cursor = best_first + best_blocks;
+          compact_.cursor = e.first + e.blocks;
           continue;
         }
         compact_.staging = *staging;
-        compact_.held.push_back({*staging, best_blocks});
+        compact_.held.push_back({*staging, e.blocks});
         compact_.hop = 1;
         compact_.hole = hole;
       }
       compact_.moving = true;
-      compact_.inode = best_inode;
-      compact_.random = inodes_[best_inode].random;
-      compact_.src = best_first;
+      compact_.inode = e.inode;
+      compact_.random = inodes_[e.inode].random;
+      compact_.src = e.first;
       compact_.target = target;
-      compact_.blocks = best_blocks;
+      compact_.blocks = e.blocks;
       compact_.copied = 0;
+      started = true;
       break;
+    }
+    if (!started) {
+      // Nothing left above the cursor: the pass is complete.
+      const CompactProgress p{compact_.moved_total, true};
+      compact_.active = false;
+      return account(p);
     }
   } else {
     // Identity check before touching a single block: between steps the
@@ -1635,8 +1648,6 @@ wire::ServerStats BulletServer::stats() const {
         io_counters_->worker_wakeups.load(std::memory_order_relaxed);
     s.shed_pushback =
         io_counters_->shed_pushback.load(std::memory_order_relaxed);
-    s.shed_dropped =
-        io_counters_->shed_dropped.load(std::memory_order_relaxed);
     s.deadline_expired =
         io_counters_->deadline_expired.load(std::memory_order_relaxed);
     s.rx_queue_depth_max =

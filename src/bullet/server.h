@@ -251,7 +251,6 @@ class BulletServer final : public rpc::Service {
   struct ReplStatusInfo {
     ReplRole role = ReplRole::kSolo;
     bool peer_healthy = false;
-    bool peer_incompatible = false;  // legacy peer rejected kReplicate
     bool resyncing = false;
     std::uint64_t resync_total = 0;  // files the running resync must move
     std::uint64_t resync_done = 0;
@@ -554,9 +553,8 @@ class BulletServer final : public rpc::Service {
 
   // One kReplicate RPC to the peer's super capability (the pair shares
   // port and secret, so our super capability verifies there). Updates
-  // peer health: a transport failure marks the peer down, not_supported
-  // marks it permanently incompatible (legacy server), any answer marks
-  // it up. Returns the ok reply's payload.
+  // peer health: a transport failure marks the peer down, any answer
+  // (a refusal included) marks it up. Returns the ok reply's payload.
   Result<Bytes> peer_call(Bytes body);
 
   // resync_with_peer() body (the wrapper manages the resyncing flag).
@@ -645,7 +643,6 @@ class BulletServer final : public rpc::Service {
     rpc::Transport* peer = nullptr;
     ReplRole role = ReplRole::kSolo;
     bool peer_healthy = false;
-    bool peer_incompatible = false;
     bool resyncing = false;
     std::uint64_t resync_total = 0;
     std::uint64_t resync_done = 0;

@@ -140,7 +140,6 @@ void ServerStats::encode(Writer& w) const {
   w.u64(compact_steps);
   w.u64(compact_lock_hold_ns_max);
   w.u64(shed_pushback);
-  w.u64(shed_dropped);
   w.u64(deadline_expired);
   w.u64(rx_queue_depth_max);
   w.u64(inflight_sheds);
@@ -190,7 +189,6 @@ Result<ServerStats> ServerStats::decode(Reader& r) {
   BULLET_ASSIGN_OR_RETURN(s.compact_steps, r.u64());
   BULLET_ASSIGN_OR_RETURN(s.compact_lock_hold_ns_max, r.u64());
   BULLET_ASSIGN_OR_RETURN(s.shed_pushback, r.u64());
-  BULLET_ASSIGN_OR_RETURN(s.shed_dropped, r.u64());
   BULLET_ASSIGN_OR_RETURN(s.deadline_expired, r.u64());
   BULLET_ASSIGN_OR_RETURN(s.rx_queue_depth_max, r.u64());
   BULLET_ASSIGN_OR_RETURN(s.inflight_sheds, r.u64());

@@ -34,9 +34,9 @@ inline constexpr std::uint16_t kShardMap = 16;   // admin: cluster placement map
 
 // kReplicate sub-operations (first u8 of the request body). The two
 // replicas of a pair share private port and secret, so a peer addresses
-// these at the other side's super capability — a legacy server answers
-// kReplicate itself with ErrorCode::not_supported, which the sender treats
-// as "peer is replication-unaware" and degrades to solo mode.
+// these at the other side's super capability. A peer that refuses one
+// (any error reply, not_supported included) fails that push like any
+// other refusal.
 inline constexpr std::uint8_t kReplInstall = 0;    // create at fixed slot
 inline constexpr std::uint8_t kReplErase = 1;      // propagate a delete
 inline constexpr std::uint8_t kReplManifest = 2;   // list files + tombstones
@@ -119,14 +119,13 @@ struct ServerStats {
   std::uint64_t compact_steps = 0;         // incremental compaction steps run
   std::uint64_t compact_lock_hold_ns_max = 0;  // longest per-step lock hold
   // Overload-control counters (appended in the admission-control rework;
-  // 29 -> 34 u64s, same append-only discipline).
+  // 29 -> 33 u64s).
   std::uint64_t shed_pushback = 0;      // requests shed with a BS_PUSHBACK reply
-  std::uint64_t shed_dropped = 0;       // requests shed by silent drop
   std::uint64_t deadline_expired = 0;   // expired requests dropped at dequeue
   std::uint64_t rx_queue_depth_max = 0; // high-water mark of queued requests
   std::uint64_t inflight_sheds = 0;     // service sheds: disk-fill bound hit
-  // Replication counters (appended in the replicated-pairs rework; 34 ->
-  // 42 u64s, same append-only discipline).
+  // Replication counters (appended in the replicated-pairs rework; 33 ->
+  // 41 u64s, same append-only discipline).
   std::uint64_t repl_role = 0;          // 0 solo, 1 primary, 2 backup
   std::uint64_t repl_peer_healthy = 0;  // 1 when the peer answers
   std::uint64_t repl_pushes = 0;        // creates + erases propagated OK
@@ -135,14 +134,14 @@ struct ServerStats {
   std::uint64_t repl_resyncs = 0;       // completed resync passes
   std::uint64_t repl_resync_files = 0;  // files copied by resync, cumulative
   std::uint64_t repl_dedup_hits = 0;    // retried ops answered from record
-  // Cluster-placement counters (appended in the sharding rework; 42 -> 46
+  // Cluster-placement counters (appended in the sharding rework; 41 -> 45
   // u64s, same append-only discipline).
   std::uint64_t shard_id = 0;            // this server's ring identity
   std::uint64_t shard_epoch = 0;         // installed placement-map epoch
   std::uint64_t wrong_shard_replies = 0; // routing misses answered wrong_shard
   std::uint64_t shard_map_installs = 0;  // placement maps accepted
 
-  static constexpr std::size_t kWireSize = 46 * 8;
+  static constexpr std::size_t kWireSize = 45 * 8;
 
   void encode(Writer& w) const;
   static Result<ServerStats> decode(Reader& r);

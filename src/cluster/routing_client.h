@@ -74,7 +74,8 @@ class RoutingClient {
   std::uint64_t epoch() const noexcept { return map_.epoch; }
   const PlacementMap& map() const noexcept { return map_; }
 
-  // Request-trailer controls, same contract as BulletClient (bullet/client.h).
+  // Request-trailer controls (rpc/message.h), same contract as BulletClient
+  // (bullet/client.h).
   void set_trace_id(std::uint64_t id) noexcept { trace_id_ = id; }
   void set_deadline_budget_ms(std::uint32_t ms) noexcept {
     deadline_budget_us_ = static_cast<std::uint64_t>(ms) * 1000;

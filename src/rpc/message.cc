@@ -7,15 +7,10 @@ Bytes Request::encode() const {
   target.encode(w);
   w.u16(opcode);
   w.blob(body);
-  if (message_id != 0) {
+  if (has_trailer()) {
     w.u64(trace_id);
     w.u64(deadline_us);
     w.u64(message_id);
-  } else if (deadline_us != 0) {
-    w.u64(trace_id);
-    w.u64(deadline_us);
-  } else if (trace_id != 0) {
-    w.u64(trace_id);
   }
   return std::move(w).take();
 }
@@ -27,21 +22,36 @@ Result<Request> Request::decode(ByteSpan wire) {
   BULLET_ASSIGN_OR_RETURN(req.opcode, r.u16());
   BULLET_ASSIGN_OR_RETURN(ByteSpan body, r.blob());
   req.body.assign(body.begin(), body.end());
-  // Exactly one trailing u64 is the optional trace id; exactly two are
-  // trace id ‖ deadline; exactly three add the operation id (see
-  // message.h). Anything else trailing is still malformed.
-  if (r.remaining() == 8) {
-    BULLET_ASSIGN_OR_RETURN(req.trace_id, r.u64());
-  } else if (r.remaining() == 16) {
-    BULLET_ASSIGN_OR_RETURN(req.trace_id, r.u64());
-    BULLET_ASSIGN_OR_RETURN(req.deadline_us, r.u64());
-  } else if (r.remaining() == 24) {
+  if (r.remaining() == kTrailerSize) {
     BULLET_ASSIGN_OR_RETURN(req.trace_id, r.u64());
     BULLET_ASSIGN_OR_RETURN(req.deadline_us, r.u64());
     BULLET_ASSIGN_OR_RETURN(req.message_id, r.u64());
   }
   if (!r.done()) return Error(ErrorCode::bad_argument, "trailing bytes");
   return req;
+}
+
+std::size_t Request::trailer_offset(ByteSpan wire) noexcept {
+  if (wire.size() < kHeaderSize + kTrailerSize) return 0;
+  Reader r(wire.subspan(kHeaderSize - 4, 4));
+  const std::uint64_t body_len = r.u32().value();
+  if (wire.size() - kHeaderSize - kTrailerSize != body_len) return 0;
+  return kHeaderSize + body_len;
+}
+
+std::uint64_t Request::peek_deadline_us(ByteSpan wire) noexcept {
+  const std::size_t at = trailer_offset(wire);
+  if (at == 0) return 0;
+  Reader r(wire.subspan(at + 8, 8));
+  return r.u64().value();
+}
+
+void Request::restamp_deadline(Bytes& wire, std::uint64_t remaining_us) noexcept {
+  const std::size_t at = trailer_offset(ByteSpan(wire));
+  if (at == 0) return;
+  for (std::size_t i = 0; i < 8; ++i) {
+    wire[at + 8 + i] = static_cast<std::uint8_t>(remaining_us >> (8 * i));
+  }
 }
 
 std::array<std::uint8_t, Reply::kHeaderSize> Reply::encode_header() const {

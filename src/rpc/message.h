@@ -22,49 +22,59 @@ struct Request {
   std::uint16_t opcode = 0; // service-specific operation
   Bytes body;               // operation arguments
 
-  // Optional client-chosen trace id (see obs/trace.h). Encoded as a
-  // trailing u64 after the body blob, but only when nonzero, so requests
-  // from clients that never set it are byte-identical to the pre-tracing
-  // wire format, and old servers never see the extra tail from old
-  // clients. A server that does see exactly 8 bytes past the body treats
-  // them as the trace id; any other trailer remains an error.
+  // The optional trailer after the body blob. It is absent when all three
+  // fields below are zero, so an untraced request without a deadline or
+  // operation id costs nothing extra; otherwise it is exactly kTrailerSize
+  // bytes: trace_id u64 ‖ deadline_us u64 ‖ message_id u64. decode()
+  // rejects every other trailing length. Only this module knows the
+  // layout: transports read and rewrite the deadline through
+  // peek_deadline_us() and restamp_deadline().
+  static constexpr std::size_t kTrailerSize = 24;
+
+  // Client-chosen trace id (see obs/trace.h), 0 = untraced.
   std::uint64_t trace_id = 0;
 
-  // Optional remaining time budget in microseconds (0 = no deadline).
-  // Relative, not absolute — no clock synchronization is assumed; the
-  // client re-stamps the remaining budget on every retransmit and the
-  // server measures expiry from arrival. A nonzero deadline widens the
-  // trailer to 16 bytes: trace_id u64 ‖ deadline_us u64. The 16-byte form
-  // also marks the client as overload-aware: only requests carrying it are
-  // answered with BS_PUSHBACK (ErrorCode::retry_later) when shed; requests
-  // in the two older formats are shed by silent drop, degrading to the
-  // existing timeout/backoff retransmit path. Old servers reject the
-  // 16-byte trailer, so setting a deadline requires an overload-aware
-  // server (the same contract as trace ids).
+  // Remaining time budget in microseconds (0 = no deadline). Relative, not
+  // absolute — no clock synchronization is assumed; the client re-stamps
+  // the remaining budget on every retransmit and the server measures
+  // expiry from arrival.
   std::uint64_t deadline_us = 0;
 
-  // Optional client-chosen operation id (0 = none), stable across
-  // retransmits AND across replica failover — unlike the UDP fragment
-  // header's message id, which is per-transport. A replication-aware
-  // server remembers the reply of each mutating operation keyed by this
-  // id and replicates the binding to its peer, so a create retried
-  // against the other replica is answered from the recorded reply instead
-  // of re-executed: the service-level, cross-replica analog of the UDP
-  // ReplyCache. A nonzero id widens the trailer to 24 bytes: trace_id ‖
-  // deadline_us ‖ message_id. Old servers reject the 24-byte form, so
-  // enabling ids requires a replication-aware server (the same
-  // append-only contract as trace ids and deadlines).
+  // Client-chosen operation id (0 = none), stable across retransmits AND
+  // across replica failover — unlike the UDP fragment header's message id,
+  // which is per-transport. A replication-aware server remembers the reply
+  // of each mutating operation keyed by this id and replicates the binding
+  // to its peer, so a create retried against the other replica is answered
+  // from the recorded reply instead of re-executed: the service-level,
+  // cross-replica analog of the UDP ReplyCache.
   std::uint64_t message_id = 0;
 
   // Bytes this request occupies on the wire (for the network model).
   std::uint64_t wire_size() const noexcept {
-    return Capability::kWireSize + 2 + 4 + body.size() +
-           (message_id != 0 ? 24
-                            : (deadline_us != 0 ? 16 : (trace_id != 0 ? 8 : 0)));
+    return kHeaderSize + body.size() + (has_trailer() ? kTrailerSize : 0);
   }
 
   Bytes encode() const;
   static Result<Request> decode(ByteSpan wire);
+
+  // The deadline of an encoded request in O(1), without decoding it: 0
+  // unless `wire` holds a header, a body of the length it declares, and
+  // then exactly a trailer — i.e. the decoded deadline_us of every wire
+  // decode() accepts, and 0 for every wire it rejects.
+  static std::uint64_t peek_deadline_us(ByteSpan wire) noexcept;
+
+  // Overwrite the deadline of an encoded request in place (a retransmit
+  // carries the budget it has left). No-op on a wire without a trailer.
+  static void restamp_deadline(Bytes& wire, std::uint64_t remaining_us) noexcept;
+
+ private:
+  // capability ‖ opcode u16 ‖ body-length u32.
+  static constexpr std::size_t kHeaderSize = Capability::kWireSize + 2 + 4;
+  bool has_trailer() const noexcept {
+    return trace_id != 0 || deadline_us != 0 || message_id != 0;
+  }
+  // Offset of the trailer in `wire`, or 0 when it carries none.
+  static std::size_t trailer_offset(ByteSpan wire) noexcept;
 };
 
 // A reply's payload is the concatenation of `body` (owned, usually a small

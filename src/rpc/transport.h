@@ -25,13 +25,11 @@ namespace bullet::rpc {
 struct IoCounters {
   std::atomic<std::uint64_t> rx_batches{0};     // recvmmsg calls that got data
   std::atomic<std::uint64_t> worker_wakeups{0}; // dispatch-thread wakeups
-  // Overload-control plane (see udp_transport.h): requests shed with an
-  // explicit BS_PUSHBACK reply, requests shed by silent drop (clients with
-  // no deadline trailer fall back to their timeout/backoff path), requests
-  // dropped at dequeue because their deadline had already passed, and the
-  // high-water mark of the dispatch queue depth.
+  // Overload-control plane (see udp_transport.h): requests shed with a
+  // BS_PUSHBACK reply (every shed is answered), requests dropped at dequeue
+  // because their deadline had already passed, and the high-water mark of
+  // the dispatch queue depth.
   std::atomic<std::uint64_t> shed_pushback{0};
-  std::atomic<std::uint64_t> shed_dropped{0};
   std::atomic<std::uint64_t> deadline_expired{0};
   std::atomic<std::uint64_t> rx_queue_depth_max{0};
 };

@@ -221,42 +221,6 @@ std::uint64_t peer_key(const sockaddr_in& addr) {
          addr.sin_port;
 }
 
-std::uint32_t load_le_u32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
-std::uint64_t load_le_u64(const std::uint8_t* p) {
-  return static_cast<std::uint64_t>(load_le_u32(p)) |
-         (static_cast<std::uint64_t>(load_le_u32(p + 4)) << 32);
-}
-
-// O(1) peek at a reassembled request's optional trailer without decoding
-// the request: capability ‖ opcode u16 ‖ body-length u32 ‖ body ‖ trailer.
-// A 16-byte trailer means the client is overload-aware (can be answered
-// with BS_PUSHBACK) and its last 8 bytes are the remaining time budget in
-// microseconds. Malformed wires peek as "no trailer" — the shed path then
-// drops them, and the execute path reports bad_argument as before.
-struct TrailerPeek {
-  bool deadline_capable = false;
-  std::uint64_t deadline_us = 0;
-};
-
-TrailerPeek peek_trailer(ByteSpan wire) {
-  TrailerPeek out;
-  const std::size_t header = Capability::kWireSize + 2 + 4;
-  if (wire.size() < header) return out;
-  const std::uint64_t body_len = load_le_u32(wire.data() + header - 4);
-  if (wire.size() < header + body_len) return out;
-  if (wire.size() - header - body_len == 16) {
-    out.deadline_capable = true;
-    out.deadline_us = load_le_u64(wire.data() + wire.size() - 8);
-  }
-  return out;
-}
-
 // The encoded BS_PUSHBACK reply: status retry_later, payload = u32
 // retry-after milliseconds. Built directly on the RX thread — shedding a
 // request costs one small allocation and one sendmmsg, never a service
@@ -528,10 +492,6 @@ struct UdpServer::Impl : std::enable_shared_from_this<UdpServer::Impl> {
     std::uint64_t peer = 0;
     std::uint64_t message_id = 0;
     bool pooled = false;  // dispatched by a worker (vs. inline on RX)
-    // The request carried a deadline trailer, i.e. the client understands
-    // BS_PUSHBACK. A service-level retry_later reply to anyone else is
-    // converted into a silent drop (timeout/backoff handles it).
-    bool pushback_ok = false;
     // The trace is heap-owned by the context (not stack-owned by
     // execute()) so it survives a park; finish() destroys it on whichever
     // thread delivers the reply, publishing the spans.
@@ -580,7 +540,6 @@ struct UdpServer::Impl : std::enable_shared_from_this<UdpServer::Impl> {
       finish(ctx, Reply::error(ErrorCode::bad_argument));
       return ctx;
     }
-    ctx->pushback_ok = request.value().deadline_us != 0;
     ctx->trace = std::make_unique<obs::RequestTrace>(request.value().opcode,
                                                      request.value().trace_id);
     if (ctx->trace->active()) {
@@ -622,42 +581,32 @@ struct UdpServer::Impl : std::enable_shared_from_this<UdpServer::Impl> {
   void finish(const std::shared_ptr<RespondCtx>& ctx, Reply&& reply) {
     // A retry_later reply is a shed, not an answer: never cache it (the
     // retransmit should be re-admitted once load clears — nothing was
-    // executed, so at-most-once is not at stake), and only put it on the
-    // wire for overload-aware clients; everyone else degrades to their
-    // timeout/backoff retransmit path via a silent drop.
-    bool send_reply = true;
-    bool cache_reply = true;
-    if (reply.status == ErrorCode::retry_later) {
-      cache_reply = false;
-      if (ctx->pushback_ok) {
-        if (reply.body.empty() && reply.segments.empty()) {
-          Writer w(4);
-          w.u32(std::max<std::uint32_t>(1, options.shed_retry_ms));
-          reply.body = std::move(w).take();
-        }
-        io.shed_pushback.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        send_reply = false;
-        io.shed_dropped.fetch_add(1, std::memory_order_relaxed);
+    // executed, so at-most-once is not at stake), and make sure it carries
+    // a retry-after for the client to sleep on.
+    const bool shed = reply.status == ErrorCode::retry_later;
+    if (shed) {
+      if (reply.body.empty() && reply.segments.empty()) {
+        Writer w(4);
+        w.u32(std::max<std::uint32_t>(1, options.shed_retry_ms));
+        reply.body = std::move(w).take();
       }
+      io.shed_pushback.fetch_add(1, std::memory_order_relaxed);
     }
-    if (send_reply) {
-      {
-        obs::ScopedSpan span(obs::Stage::kTx);
-        const auto header = reply.encode_header();
-        std::vector<ByteSpan> parts{ByteSpan(header), ByteSpan(reply.body)};
-        parts.insert(parts.end(), reply.segments.begin(), reply.segments.end());
-        (void)send_message_batched(fd, ctx->from, ctx->message_id, parts);
-      }
-      // Cache after sending but before the in-flight marks clear: a
-      // retransmit arriving at any instant finds either the in-flight mark
-      // or the cached reply — never a gap that re-executes. The copy is
-      // made once the reply is on its way, off the client's path.
-      if (cache_reply) {
-        obs::ScopedSpan span(obs::Stage::kEncode);
-        replies.insert(ctx->peer, ctx->message_id,
-                       std::make_shared<const Bytes>(reply.encode()));
-      }
+    {
+      obs::ScopedSpan span(obs::Stage::kTx);
+      const auto header = reply.encode_header();
+      std::vector<ByteSpan> parts{ByteSpan(header), ByteSpan(reply.body)};
+      parts.insert(parts.end(), reply.segments.begin(), reply.segments.end());
+      (void)send_message_batched(fd, ctx->from, ctx->message_id, parts);
+    }
+    // Cache after sending but before the in-flight marks clear: a
+    // retransmit arriving at any instant finds either the in-flight mark
+    // or the cached reply — never a gap that re-executes. The copy is
+    // made once the reply is on its way, off the client's path.
+    if (!shed) {
+      obs::ScopedSpan span(obs::Stage::kEncode);
+      replies.insert(ctx->peer, ctx->message_id,
+                     std::make_shared<const Bytes>(reply.encode()));
     }
     replies.release(ctx->peer, ctx->message_id);
     // Publish the trace (destructor clears this thread's TLS slot if the
@@ -715,15 +664,14 @@ struct UdpServer::Impl : std::enable_shared_from_this<UdpServer::Impl> {
   }
 
   // Admission + enqueue; RX thread only. A request over the total or
-  // per-client queue bound is shed in O(1): a BS_PUSHBACK reply for
-  // overload-aware clients (16-byte trailer), a silent drop for the rest.
+  // per-client queue bound is shed in O(1) with a BS_PUSHBACK reply.
   // Retransmits of queued/executing or already-answered requests never get
   // here (handle_datagram's dedup probes run first), so a shed can only
   // hit a request the server holds no state for.
   void enqueue(const sockaddr_in& from, std::uint64_t peer,
                std::uint64_t message_id, Bytes wire,
                std::uint64_t rx_first_ns, std::uint64_t rx_done_ns,
-               std::uint64_t deadline_ns, bool pushback_ok) {
+               std::uint64_t deadline_ns) {
     bool shed = false;
     std::uint32_t advise_ms = 0;
     {
@@ -760,14 +708,10 @@ struct UdpServer::Impl : std::enable_shared_from_this<UdpServer::Impl> {
       }
     }
     if (shed) {
-      if (pushback_ok) {
-        io.shed_pushback.fetch_add(1, std::memory_order_relaxed);
-        const Bytes pushback = make_pushback_wire(advise_ms);
-        (void)send_message_batched(fd, from, message_id,
-                                   ByteSpan(pushback.data(), pushback.size()));
-      } else {
-        io.shed_dropped.fetch_add(1, std::memory_order_relaxed);
-      }
+      io.shed_pushback.fetch_add(1, std::memory_order_relaxed);
+      const Bytes pushback = make_pushback_wire(advise_ms);
+      (void)send_message_batched(fd, from, message_id,
+                                 ByteSpan(pushback.data(), pushback.size()));
     }
   }
 
@@ -885,12 +829,12 @@ struct UdpServer::Impl : std::enable_shared_from_this<UdpServer::Impl> {
       (void)execute(from, peer, message_id, wire, /*pooled=*/false,
                     rx_first_ns, rx_done_ns);
     } else {
-      const TrailerPeek peek = peek_trailer(ByteSpan(wire));
+      const std::uint64_t deadline_us =
+          Request::peek_deadline_us(ByteSpan(wire));
       const std::uint64_t deadline_ns =
-          peek.deadline_us != 0 ? obs::now_ns() + peek.deadline_us * 1000
-                                : 0;
+          deadline_us != 0 ? obs::now_ns() + deadline_us * 1000 : 0;
       enqueue(from, peer, message_id, std::move(wire), rx_first_ns,
-              rx_done_ns, deadline_ns, peek.deadline_capable);
+              rx_done_ns, deadline_ns);
     }
   }
 
@@ -1058,10 +1002,9 @@ Result<Reply> UdpTransport::call(const Request& request) {
   // copy lost.
   Reassembler reply_wire;
   reply_wire.reset(message_id);
-  // With a deadline, the trailer's last 8 bytes are the remaining budget;
-  // each attempt re-stamps them in place (the rest of the wire is
-  // identical), so the server always sees how much time this call has
-  // left, not the original budget.
+  // With a deadline, each attempt re-stamps the remaining budget in place
+  // (the rest of the wire is identical), so the server always sees how
+  // much time this call has left, not the original budget.
   const bool has_deadline = request.deadline_us != 0;
   const auto start = std::chrono::steady_clock::now();
   bool last_was_pushback = false;
@@ -1076,8 +1019,7 @@ Result<Reply> UdpTransport::call(const Request& request) {
       if (remaining_us <= 0) {
         return Error(ErrorCode::deadline_expired, "call budget exhausted");
       }
-      store_le(wire.data() + wire.size() - 8,
-               static_cast<std::uint64_t>(remaining_us), 8);
+      Request::restamp_deadline(wire, static_cast<std::uint64_t>(remaining_us));
     }
     if (attempt > 0) retransmissions_.fetch_add(1, std::memory_order_relaxed);
     int timeout_ms = backoff_timeout_ms(impl_->options, attempt);

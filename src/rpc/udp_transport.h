@@ -189,11 +189,11 @@ struct UdpServerOptions {
   // Admission control (worker-pool mode only; inline mode has no queue to
   // bound). A request that arrives when `max_queue` requests are already
   // queued across all clients, or `max_client_queue` from its own
-  // endpoint, is shed in O(1) without touching a service: overload-aware
-  // clients (16-byte deadline trailer) get a BS_PUSHBACK reply carrying a
-  // retry-after delay scaled by the current queue depth; everyone else is
-  // silently dropped and falls back to timeout/backoff retransmission.
-  // 0 = unbounded (the historical behaviour).
+  // endpoint, is shed in O(1) without touching a service: the client gets
+  // a BS_PUSHBACK reply carrying a retry-after delay scaled by the current
+  // queue depth, sleeps it and resends (UdpTransport::call). A queued
+  // request whose deadline runs out before a worker reaches it is dropped
+  // at dequeue. 0 = unbounded (the historical behaviour).
   std::size_t max_queue = 0;
   std::size_t max_client_queue = 0;
   // Retry-after advised when shedding at exactly max_queue depth; scaled
@@ -273,9 +273,10 @@ class UdpTransport final : public Transport {
   // carries a time budget — every retransmit is re-stamped with the
   // *remaining* budget, the per-attempt receive timeout never exceeds it,
   // and the call fails with ErrorCode::deadline_expired once it runs out.
-  // A BS_PUSHBACK reply (ErrorCode::retry_later) makes the client sleep
-  // the server-advised retry-after — overriding the backoff schedule —
-  // and resend; attempts spent this way still count against max_attempts.
+  // With or without a deadline, a BS_PUSHBACK reply (ErrorCode::retry_later)
+  // makes the client sleep the server-advised retry-after — overriding the
+  // backoff schedule — and resend; attempts spent this way still count
+  // against max_attempts.
   Result<Reply> call(const Request& request) override;
 
   std::uint64_t retransmissions() const noexcept {

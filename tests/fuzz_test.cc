@@ -45,6 +45,79 @@ TEST(FuzzTest, RequestDecoderSurvivesTruncations) {
   }
 }
 
+// Seeded mutations of valid requests in both trailer forms. decode() and
+// the O(1) peek_deadline_us() the UDP admission path uses must agree on
+// every wire: the peeked deadline is the decoded one when decode accepts,
+// and 0 when it rejects.
+TEST(FuzzTest, TrailerReadersAgreeOnMutatedRequests) {
+  Rng rng(0x7A11);
+  // The body-length field is the last u32 of a bodiless, trailer-less wire.
+  const std::size_t length_at = rpc::Request{}.encode().size() - 4;
+  int accepted = 0;
+  int accepted_with_deadline = 0;
+  constexpr int kTrials = 20000;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    rpc::Request request;
+    request.target.port = Port(rng.next() & 0xFFFFFFFFFFFFull);
+    request.opcode = static_cast<std::uint16_t>(rng.next());
+    request.body = payload(rng.next_below(80), trial);
+    if (rng.next_below(2) == 0) {
+      // Each field zero or not on its own, deadline set at least often
+      // enough that accepted nonzero deadlines are common.
+      if (rng.next_below(2) == 0) request.trace_id = rng.next();
+      if (rng.next_below(4) != 0) request.deadline_us = rng.next_below(1u << 30);
+      if (rng.next_below(2) == 0) request.message_id = rng.next();
+    }
+    Bytes wire = request.encode();
+    switch (rng.next_below(8)) {
+      case 0:
+        wire[rng.next_below(wire.size())] ^=
+            static_cast<std::uint8_t>(1u << rng.next_below(8));
+        break;
+      case 1:
+        wire.resize(rng.next_below(wire.size() + 1));
+        break;
+      case 2: {
+        Bytes extra(rng.next_below(40) + 1);
+        rng.fill(extra);
+        append(wire, extra);
+        break;
+      }
+      case 3: {
+        // A body length near the real one, off by a trailer or a few bytes.
+        static constexpr std::int64_t kShifts[] = {-25, -24, -23, -8, -1,
+                                                   1,   8,   16,  23, 24, 25};
+        const std::int64_t len =
+            static_cast<std::int64_t>(request.body.size()) +
+            kShifts[rng.next_below(std::size(kShifts))];
+        const auto v = static_cast<std::uint32_t>(std::max<std::int64_t>(0, len));
+        for (std::size_t i = 0; i < 4; ++i) {
+          wire[length_at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+        }
+        break;
+      }
+      case 4:
+        wire[length_at + rng.next_below(4)] =
+            static_cast<std::uint8_t>(rng.next());
+        break;
+      default:
+        break;  // as encoded
+    }
+    const auto decoded = rpc::Request::decode(wire);
+    const std::uint64_t peeked = rpc::Request::peek_deadline_us(wire);
+    if (decoded.ok()) {
+      ASSERT_EQ(decoded.value().deadline_us, peeked) << "trial " << trial;
+      ++accepted;
+      if (peeked != 0) ++accepted_with_deadline;
+    } else {
+      ASSERT_EQ(0u, peeked) << "trial " << trial;
+    }
+  }
+  // The agreement check must not be vacuous.
+  EXPECT_GT(accepted, kTrials / 4);
+  EXPECT_GT(accepted_with_deadline, kTrials / 10);
+}
+
 TEST(FuzzTest, CapabilityParserSurvivesGarbage) {
   Rng rng(0xF123);
   for (int i = 0; i < 5000; ++i) {

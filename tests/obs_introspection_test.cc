@@ -69,7 +69,6 @@ const char* const kCounterMetrics[] = {
     "bullet_cache_compactions_total",
     "bullet_cache_deferred_frees_total",
     "bullet_shed_pushback_total",
-    "bullet_shed_dropped_total",
     "bullet_deadline_expired_total",
     "bullet_rx_queue_depth_max",
     "bullet_inflight_sheds_total",

@@ -1,7 +1,7 @@
 // The overload-control plane end to end: admission control at the UDP
-// dispatch queue (BS_PUSHBACK for deadline-capable clients, silent drop for
-// legacy ones), deadline propagation and expiry at dequeue, and the
-// in-flight disk-fill bound at the Bullet service layer.
+// dispatch queue (every shed is answered with BS_PUSHBACK), deadline
+// propagation and expiry at dequeue, the request trailer that carries the
+// deadline, and the in-flight disk-fill bound at the Bullet service layer.
 //
 // The server-side scenarios use a GateService whose handler parks on a
 // condition variable: with one worker the test controls exactly when the
@@ -69,15 +69,45 @@ class GateService final : public rpc::Service {
   int executed_ = 0;
 };
 
-rpc::Request gate_request(std::uint64_t tag, std::uint64_t deadline_us = 0) {
+rpc::Request gate_request(std::uint64_t tag, std::uint64_t deadline_us = 0,
+                          std::uint64_t message_id = 0) {
   rpc::Request request;
   request.target.port = Port(0xB10C);
   Writer w(8);
   w.u64(tag);
   request.body = std::move(w).take();
   request.deadline_us = deadline_us;
+  request.message_id = message_id;
   return request;
 }
+
+// Records the trailer fields of every request that reaches it.
+class TrailerRecorder final : public rpc::Service {
+ public:
+  struct Seen {
+    std::uint64_t trace_id = 0;
+    std::uint64_t deadline_us = 0;
+    std::uint64_t message_id = 0;
+  };
+
+  Port public_port() const noexcept override { return Port(0xB10C); }
+
+  rpc::Reply handle(const rpc::Request& request) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    seen_.push_back({request.trace_id, request.deadline_us,
+                     request.message_id});
+    return rpc::Reply::success(request.body);
+  }
+
+  std::vector<Seen> seen() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return seen_;
+  }
+
+ private:
+  std::mutex mu_;
+  std::vector<Seen> seen_;
+};
 
 class OverloadTest : public ::testing::Test {
  protected:
@@ -111,107 +141,120 @@ class OverloadTest : public ::testing::Test {
     return false;
   }
 
+  // One worker and one queue slot: A executes behind the closed gate, then
+  // `b` (tag 2) and `c` (tag 3) arrive and whichever finds the queue full
+  // is shed. Whatever trailer they carry, the shed is answered with
+  // BS_PUSHBACK, the client sleeps the advised delay and retries, and
+  // every request executes exactly once and gets its own reply back.
+  void expect_full_queue_shed_with_pushback(const rpc::Request& b,
+                                            const rpc::Request& c) {
+    rpc::UdpServerOptions options;
+    options.max_queue = 1;
+    options.shed_retry_ms = 5;
+    start_server(options);
+
+    auto ta = connect(/*timeout_ms=*/200, /*max_attempts=*/40);
+    auto tb = connect(/*timeout_ms=*/100, /*max_attempts=*/100);
+    auto tc = connect(/*timeout_ms=*/100, /*max_attempts=*/100);
+
+    auto fa = std::async(std::launch::async,
+                         [&] { return ta->call(gate_request(1)); });
+    gate_.wait_executing(1);  // A owns the only worker
+    auto fb = std::async(std::launch::async, [&] { return tb->call(b); });
+    auto fc = std::async(std::launch::async, [&] { return tc->call(c); });
+
+    // Open the gate whatever happened, so a failure cannot leave the calls
+    // (and the futures' destructors) waiting on it.
+    const auto& io = udp_server_->io_counters();
+    const bool pushed_back = poll([&] {
+      return io.shed_pushback.load(std::memory_order_relaxed) >= 1;
+    });
+    gate_.open();
+    ASSERT_TRUE(pushed_back);
+
+    auto ra = fa.get();
+    auto rb = fb.get();
+    auto rc = fc.get();
+    ASSERT_TRUE(ra.ok()) << ra.error().to_string();
+    ASSERT_TRUE(rb.ok()) << rb.error().to_string();
+    ASSERT_TRUE(rc.ok()) << rc.error().to_string();
+    EXPECT_EQ(ErrorCode::ok, ra.value().status);
+    EXPECT_EQ(ErrorCode::ok, rb.value().status);
+    EXPECT_EQ(ErrorCode::ok, rc.value().status);
+    // Each caller got its own echo back: a pushback answered from the reply
+    // cache would have pinned the shed client to retry_later forever.
+    Reader b_payload(rb.value().body);
+    Reader c_payload(rc.value().body);
+    EXPECT_EQ(2u, b_payload.u64().value());
+    EXPECT_EQ(3u, c_payload.u64().value());
+
+    EXPECT_GE(io.shed_pushback.load(std::memory_order_relaxed), 1u);
+    EXPECT_GE(tb->pushbacks() + tc->pushbacks(), 1u);
+    // At-most-once held through the shed/retry churn.
+    EXPECT_EQ(3, gate_.executed());
+  }
+
   GateService gate_;
   std::unique_ptr<rpc::UdpServer> udp_server_;
 };
 
+constexpr std::uint64_t kGenerousBudgetUs = 10'000'000;
+
 TEST_F(OverloadTest, FullQueueShedsWithPushbackAndNothingExecutesTwice) {
-  // One worker, one queue slot: with A executing and one request queued,
-  // the next arrival is shed. A is a legacy client (no trailer); B and C
-  // carry deadlines, so whichever of them finds the queue full gets an
-  // explicit BS_PUSHBACK and retries on the server's advice — the
-  // mixed-version deployment the wire format promises to keep working.
-  rpc::UdpServerOptions options;
-  options.max_queue = 1;
-  options.shed_retry_ms = 5;
-  start_server(options);
-
-  auto ta = connect(/*timeout_ms=*/200, /*max_attempts=*/40);
-  auto tb = connect(/*timeout_ms=*/100, /*max_attempts=*/100);
-  auto tc = connect(/*timeout_ms=*/100, /*max_attempts=*/100);
-
-  auto fa = std::async(std::launch::async,
-                       [&] { return ta->call(gate_request(1)); });
-  gate_.wait_executing(1);  // A owns the only worker
-
-  constexpr std::uint64_t kBudgetUs = 10'000'000;
-  auto fb = std::async(std::launch::async,
-                       [&] { return tb->call(gate_request(2, kBudgetUs)); });
-  auto fc = std::async(std::launch::async,
-                       [&] { return tc->call(gate_request(3, kBudgetUs)); });
-
-  // One of B/C occupies the queue slot; the other is shed with pushback
-  // and keeps retrying (5 ms advised) until the gate opens.
-  const auto& io = udp_server_->io_counters();
-  ASSERT_TRUE(poll([&] {
-    return io.shed_pushback.load(std::memory_order_relaxed) >= 1;
-  }));
-  gate_.open();
-
-  auto ra = fa.get();
-  auto rb = fb.get();
-  auto rc = fc.get();
-  ASSERT_TRUE(ra.ok()) << ra.error().to_string();
-  ASSERT_TRUE(rb.ok()) << rb.error().to_string();
-  ASSERT_TRUE(rc.ok()) << rc.error().to_string();
-  EXPECT_EQ(ErrorCode::ok, ra.value().status);
-  EXPECT_EQ(ErrorCode::ok, rb.value().status);
-  EXPECT_EQ(ErrorCode::ok, rc.value().status);
-  // Each caller got its own echo back: a pushback answered from the reply
-  // cache would have pinned the shed client to retry_later forever.
-  Reader b_payload(rb.value().body);
-  Reader c_payload(rc.value().body);
-  EXPECT_EQ(2u, b_payload.u64().value());
-  EXPECT_EQ(3u, c_payload.u64().value());
-
-  EXPECT_GE(io.shed_pushback.load(std::memory_order_relaxed), 1u);
-  EXPECT_GE(tb->pushbacks() + tc->pushbacks(), 1u);
-  // At-most-once held through the shed/retry churn.
-  EXPECT_EQ(3, gate_.executed());
+  expect_full_queue_shed_with_pushback(gate_request(2, kGenerousBudgetUs),
+                                       gate_request(3, kGenerousBudgetUs));
 }
 
-TEST_F(OverloadTest, LegacyClientsShedByDropFallBackToRetransmit) {
-  // Same full-queue setup, but no client carries a deadline trailer: sheds
-  // are silent drops, and the old timeout/backoff retransmit path must
-  // carry every request to completion once the overload clears.
+TEST_F(OverloadTest, TrailerlessClientsAreShedWithPushback) {
+  expect_full_queue_shed_with_pushback(gate_request(2), gate_request(3));
+}
+
+TEST_F(OverloadTest, ShedRequestWithDeadlineAndMessageIdGetsPushback) {
+  expect_full_queue_shed_with_pushback(
+      gate_request(2, kGenerousBudgetUs, /*message_id=*/0xB2),
+      gate_request(3, kGenerousBudgetUs, /*message_id=*/0xC3));
+}
+
+TEST(OverloadRestampTest, RetransmitsKeepTheMessageIdAndShrinkTheDeadline) {
+  // Every third datagram is lost on the way in, so calls retransmit and
+  // the transport re-stamps the remaining budget on each attempt. The
+  // re-stamp must touch the deadline and nothing else in the trailer.
+  TrailerRecorder recorder;
   rpc::UdpServerOptions options;
-  options.max_queue = 1;
-  options.shed_retry_ms = 5;
-  start_server(options);
+  options.workers = 1;
+  options.drop_one_in = 3;
+  options.loss_seed = 7;
+  auto server = rpc::UdpServer::start(options);
+  ASSERT_TRUE(server.ok()) << server.error().to_string();
+  ASSERT_OK(server.value()->register_service(&recorder));
 
-  auto ta = connect(/*timeout_ms=*/200, /*max_attempts=*/40);
-  auto tb = connect(/*timeout_ms=*/25, /*max_attempts=*/60);
-  auto tc = connect(/*timeout_ms=*/25, /*max_attempts=*/60);
+  rpc::UdpClientOptions copts;
+  copts.server_udp_port = server.value()->port();
+  copts.timeout_ms = 20;
+  copts.max_timeout_ms = 80;
+  copts.max_attempts = 20;
+  auto transport = rpc::UdpTransport::connect(copts);
+  ASSERT_TRUE(transport.ok());
 
-  auto fa = std::async(std::launch::async,
-                       [&] { return ta->call(gate_request(1)); });
-  gate_.wait_executing(1);
+  constexpr int kCalls = 12;
+  constexpr std::uint64_t kBudgetUs = 5'000'000;
+  for (int i = 0; i < kCalls; ++i) {
+    rpc::Request request = gate_request(i, kBudgetUs, 0x1234 + i);
+    request.trace_id = 0x7700 + i;
+    auto reply = transport.value()->call(request);
+    ASSERT_TRUE(reply.ok()) << reply.error().to_string();
+    ASSERT_EQ(ErrorCode::ok, reply.value().status);
+  }
+  EXPECT_GE(transport.value()->retransmissions(), 1u);
 
-  auto fb = std::async(std::launch::async,
-                       [&] { return tb->call(gate_request(2)); });
-  auto fc = std::async(std::launch::async,
-                       [&] { return tc->call(gate_request(3)); });
-
-  const auto& io = udp_server_->io_counters();
-  ASSERT_TRUE(poll([&] {
-    return io.shed_dropped.load(std::memory_order_relaxed) >= 1;
-  }));
-  gate_.open();
-
-  auto ra = fa.get();
-  auto rb = fb.get();
-  auto rc = fc.get();
-  ASSERT_TRUE(ra.ok());
-  ASSERT_TRUE(rb.ok()) << rb.error().to_string();
-  ASSERT_TRUE(rc.ok()) << rc.error().to_string();
-  EXPECT_EQ(ErrorCode::ok, rb.value().status);
-  EXPECT_EQ(ErrorCode::ok, rc.value().status);
-
-  EXPECT_GE(io.shed_dropped.load(std::memory_order_relaxed), 1u);
-  EXPECT_EQ(0u, io.shed_pushback.load(std::memory_order_relaxed));
-  // The shed client recovered by retransmitting, not by magic.
-  EXPECT_GE(tb->retransmissions() + tc->retransmissions(), 1u);
-  EXPECT_EQ(3, gate_.executed());
+  const auto seen = recorder.seen();
+  ASSERT_EQ(static_cast<std::size_t>(kCalls), seen.size());
+  for (int i = 0; i < kCalls; ++i) {
+    EXPECT_EQ(0x1234u + i, seen[i].message_id) << "call " << i;
+    EXPECT_EQ(0x7700u + i, seen[i].trace_id) << "call " << i;
+    EXPECT_GT(seen[i].deadline_us, 0u) << "call " << i;
+    EXPECT_LE(seen[i].deadline_us, kBudgetUs) << "call " << i;
+  }
 }
 
 TEST_F(OverloadTest, ExpiredDeadlineIsDroppedAtDequeueWithoutExecuting) {
@@ -265,9 +308,10 @@ TEST_F(OverloadTest, QueueDepthHighWaterMarkIsTracked) {
 // --- deadline propagation over the real Bullet stack ----------------------
 
 TEST_F(OverloadTest, DeadlineBudgetRidesTheWireEndToEnd) {
-  // A BulletClient with a generous per-call budget against a real server:
-  // the 16-byte trailer must decode on the service path and change nothing
-  // about successful calls.
+  // A BulletClient with a generous per-call budget and operation ids
+  // against a real server: the full trailer must decode on the service
+  // path, each create must keep its own operation id (the server's dedup
+  // record is keyed by it), and nothing about successful calls changes.
   testing::BulletHarness h;
   rpc::UdpServerOptions options;
   options.workers = 2;
@@ -280,60 +324,108 @@ TEST_F(OverloadTest, DeadlineBudgetRidesTheWireEndToEnd) {
   auto transport = rpc::UdpTransport::connect(copts);
   ASSERT_TRUE(transport.ok());
 
+  const std::uint64_t files_before = h.server().live_files();
   BulletClient client(transport.value().get(), h.server().super_capability());
   client.set_deadline_budget_ms(5000);
-  auto cap = client.create(as_span("with a deadline"), 1);
-  ASSERT_TRUE(cap.ok()) << cap.error().to_string();
-  auto data = client.read_whole(cap.value());
-  ASSERT_TRUE(data.ok()) << data.error().to_string();
-  EXPECT_EQ("with a deadline", to_string(data.value()));
+  client.enable_message_ids(0x700);
+  auto first = client.create(as_span("first file"), 1);
+  ASSERT_TRUE(first.ok()) << first.error().to_string();
+  auto second = client.create(as_span("second file"), 1);
+  ASSERT_TRUE(second.ok()) << second.error().to_string();
+  EXPECT_NE(first.value().object, second.value().object);
+
+  auto first_data = client.read_whole(first.value());
+  ASSERT_TRUE(first_data.ok()) << first_data.error().to_string();
+  EXPECT_EQ("first file", to_string(first_data.value()));
+  auto second_data = client.read_whole(second.value());
+  ASSERT_TRUE(second_data.ok()) << second_data.error().to_string();
+  EXPECT_EQ("second file", to_string(second_data.value()));
+  EXPECT_EQ(files_before + 2, h.server().live_files());
 }
 
 // --- request-trailer wire format ------------------------------------------
 
-TEST(DeadlineTrailerTest, SixteenByteTrailerRoundTrips) {
+rpc::Request trailer_request() {
   rpc::Request request;
   request.target.port = Port(0xAB);
   request.opcode = 7;
   request.body = {1, 2, 3};
-  request.trace_id = 0x1234;
-  request.deadline_us = 250'000;
-  const Bytes wire = request.encode();
-  EXPECT_EQ(request.wire_size(), wire.size());
-  auto decoded = rpc::Request::decode(wire);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(0x1234u, decoded.value().trace_id);
-  EXPECT_EQ(250'000u, decoded.value().deadline_us);
+  return request;
+}
+
+TEST(DeadlineTrailerTest, FullTrailerRoundTripsEachFieldAlone) {
+  const rpc::Request bare = trailer_request();
+  for (int field = 0; field < 3; ++field) {
+    rpc::Request request = trailer_request();
+    if (field == 0) request.trace_id = 0x1234;
+    if (field == 1) request.deadline_us = 250'000;
+    if (field == 2) request.message_id = 0x5678;
+    const Bytes wire = request.encode();
+    EXPECT_EQ(request.wire_size(), wire.size());
+    EXPECT_EQ(bare.encode().size() + rpc::Request::kTrailerSize, wire.size());
+    auto decoded = rpc::Request::decode(wire);
+    ASSERT_TRUE(decoded.ok()) << "field " << field;
+    EXPECT_EQ(request.trace_id, decoded.value().trace_id);
+    EXPECT_EQ(request.deadline_us, decoded.value().deadline_us);
+    EXPECT_EQ(request.message_id, decoded.value().message_id);
+    EXPECT_EQ(request.deadline_us, rpc::Request::peek_deadline_us(wire));
+  }
 }
 
 TEST(DeadlineTrailerTest, DeadlineWithoutTraceIdStillWidensTheTrailer) {
   rpc::Request request;
   request.deadline_us = 9;
   const Bytes wire = request.encode();
+  EXPECT_EQ(rpc::Request{}.encode().size() + rpc::Request::kTrailerSize,
+            wire.size());
   auto decoded = rpc::Request::decode(wire);
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(0u, decoded.value().trace_id);
   EXPECT_EQ(9u, decoded.value().deadline_us);
+  EXPECT_EQ(0u, decoded.value().message_id);
 }
 
-TEST(DeadlineTrailerTest, LegacyFormsAreByteIdenticalAndAccepted) {
-  rpc::Request request;
-  request.body = {42};
-  const Bytes bare = request.encode();
-  request.trace_id = 5;
-  const Bytes traced = request.encode();
-  EXPECT_EQ(bare.size() + 8, traced.size());
-  auto decoded = rpc::Request::decode(traced);
+TEST(DeadlineTrailerTest, AbsentTrailerAddsNoBytes) {
+  rpc::Request request = trailer_request();
+  const Bytes wire = request.encode();
+  EXPECT_EQ(Capability::kWireSize + 2 + 4 + request.body.size(), wire.size());
+  EXPECT_EQ(request.wire_size(), wire.size());
+  auto decoded = rpc::Request::decode(wire);
   ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(5u, decoded.value().trace_id);
-  EXPECT_EQ(0u, decoded.value().deadline_us);
+  EXPECT_EQ(0u, decoded.value().trace_id);
+  EXPECT_EQ(0u, rpc::Request::peek_deadline_us(wire));
 }
 
 TEST(DeadlineTrailerTest, OtherTrailerLengthsRemainErrors) {
-  rpc::Request request;
+  const Bytes bare = trailer_request().encode();
+  for (std::size_t extra = 1; extra <= 32; ++extra) {
+    if (extra == rpc::Request::kTrailerSize) continue;
+    Bytes wire = bare;
+    wire.resize(wire.size() + extra, 0x11);  // the old 8- and 16-byte forms too
+    EXPECT_FALSE(rpc::Request::decode(wire).ok()) << extra << " bytes";
+    EXPECT_EQ(0u, rpc::Request::peek_deadline_us(wire)) << extra << " bytes";
+  }
+}
+
+TEST(DeadlineTrailerTest, RestampRewritesOnlyTheDeadline) {
+  rpc::Request request = trailer_request();
+  request.trace_id = 1;
+  request.deadline_us = 2;
+  request.message_id = 3;
   Bytes wire = request.encode();
-  wire.resize(wire.size() + 4);  // neither 8 nor 16 trailing bytes
-  EXPECT_FALSE(rpc::Request::decode(wire).ok());
+  rpc::Request::restamp_deadline(wire, 777);
+  auto decoded = rpc::Request::decode(wire);
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(1u, decoded.value().trace_id);
+  EXPECT_EQ(777u, decoded.value().deadline_us);
+  EXPECT_EQ(3u, decoded.value().message_id);
+  EXPECT_EQ(request.body, decoded.value().body);
+
+  // A wire with no trailer has no deadline to rewrite.
+  Bytes bare = trailer_request().encode();
+  const Bytes before = bare;
+  rpc::Request::restamp_deadline(bare, 777);
+  EXPECT_EQ(before, bare);
 }
 
 // --- disk-fill admission at the Bullet service layer ----------------------

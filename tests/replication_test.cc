@@ -1,6 +1,6 @@
 // Replicated server pairs: create/delete propagation, cross-replica reply
 // dedup, client failover, resync convergence, tombstone semantics,
-// mixed-version degradation, and the deterministic FaultTransport itself.
+// a peer that refuses pushes, and the deterministic FaultTransport itself.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -648,11 +648,11 @@ TEST(ReplicationTest, UdpPairMutatingOnBothSidesStaysHealthy) {
   b.server().detach_replica();
 }
 
-// A pre-replication server: opcodes it does not know answer
-// not_supported — exactly what the real legacy dispatch does.
-class LegacyShim final : public rpc::Service {
+// A peer that answers every replication opcode with not_supported and
+// serves everything else normally.
+class RefusingPeer final : public rpc::Service {
  public:
-  explicit LegacyShim(BulletServer* inner) : inner_(inner) {}
+  explicit RefusingPeer(BulletServer* inner) : inner_(inner) {}
   Port public_port() const noexcept override { return inner_->public_port(); }
   rpc::Reply handle(const rpc::Request& request) override {
     if (request.opcode == wire::kReplicate ||
@@ -666,35 +666,34 @@ class LegacyShim final : public rpc::Service {
   BulletServer* inner_;
 };
 
-TEST(ReplicationTest, LegacyPeerDegradesToSoloWithoutWedging) {
+TEST(ReplicationTest, RefusingPeerDoesNotWedgeThePrimary) {
   BulletHarness a(single_disk()), b(single_disk());
   a.reboot(config_with_seed(0xA));
   b.reboot(config_with_seed(0xB));
-  LegacyShim legacy(&b.server());
+  RefusingPeer refusing(&b.server());
   rpc::LoopbackTransport peer_link, client_link;
-  ASSERT_OK(peer_link.register_service(&legacy));
+  ASSERT_OK(peer_link.register_service(&refusing));
   ASSERT_OK(client_link.register_service(&a.server()));
 
-  // The attach ping hits the legacy peer's not_supported: permanently
-  // incompatible, never healthy.
+  // The attach ping is refused, but the peer answered: it is healthy.
   a.server().attach_replica(&peer_link, BulletServer::ReplRole::kPrimary);
-  auto status = a.server().repl_status();
-  EXPECT_TRUE(status.peer_incompatible);
-  EXPECT_FALSE(status.peer_healthy);
+  EXPECT_TRUE(a.server().repl_status().peer_healthy);
 
-  // Creates keep working solo and no further peer traffic is attempted.
+  // Every create is still acked; each one's push is refused and counted.
   BulletClient client(&client_link, a.server().super_capability());
   client.enable_message_ids(0x900);
-  const std::uint64_t calls_before = peer_link.calls();
   for (int i = 0; i < 3; ++i) {
     ASSERT_OK(status_of(client.create(payload(128, 40 + i), 1)));
   }
-  EXPECT_EQ(calls_before, peer_link.calls());
+  EXPECT_EQ(3u, a.server().stats().repl_push_failures);
+  EXPECT_EQ(0u, a.server().stats().repl_pushes);
+  EXPECT_TRUE(a.server().repl_status().peer_healthy);
   EXPECT_EQ(3u, a.server().live_files());
   EXPECT_EQ(0u, b.server().live_files());
 
-  // A resync request against the legacy peer fails cleanly, no wedge.
+  // A resync fails with the peer's own code and leaves no resync running.
   EXPECT_CODE(not_supported, status_of(a.server().resync_with_peer()));
+  EXPECT_FALSE(a.server().repl_status().resyncing);
 }
 
 // --- the fault transport itself ----------------------------------------
