@@ -78,12 +78,14 @@ int run() {
       (void)client.read(caps[std::min<std::size_t>(idx, 63)]);
     }
     const double avg_ms = sim::to_ms((clock.now() - t0) / 2000);
-    const auto stats = server->stats();
+    const std::string stats = server->metrics_text();
+    const std::uint64_t hits = metric(stats, "bullet_cache_hits_total");
+    const std::uint64_t misses = metric(stats, "bullet_cache_misses_total");
     const double hit_rate =
-        static_cast<double>(stats.cache_hits) /
-        static_cast<double>(stats.cache_hits + stats.cache_misses);
+        static_cast<double>(hits) / static_cast<double>(hits + misses);
     std::printf("  %10" PRIu64 " KB %11.1f%% %12" PRIu64 " %14.1f\n",
-                cache_kb, hit_rate * 100.0, stats.cache_evictions, avg_ms);
+                cache_kb, hit_rate * 100.0,
+                metric(stats, "bullet_cache_evictions_total"), avg_ms);
   }
   std::printf("\n");
   return 0;

@@ -317,7 +317,7 @@ int compaction_main() {
   // Read the stepped lock-hold high-water mark before the unbounded phase
   // pushes the (monotonic) maximum into the milliseconds.
   const std::uint64_t stepped_hold_ns_max =
-      rig.server().stats().compact_lock_hold_ns_max;
+      metric(rig.server(), "bullet_compact_lock_hold_ns_max");
   const CompactRow unbounded =
       compaction_storm(rig, churn, req, CompactMode::kUnbounded);
 
@@ -326,7 +326,7 @@ int compaction_main() {
   const double ratio_unbounded =
       unbounded.latency_ns.quantile(0.99) / p99_idle;
 
-  const auto stats = rig.server().stats();
+  const std::string stats = rig.server().metrics_text();
   const auto io = rig.server().io_queue().stats();
 
   JsonWriter json;
@@ -351,15 +351,15 @@ int compaction_main() {
   json.field("p99_ratio_unbounded_vs_idle", ratio_unbounded);
   json.field("stepped_p99_within_2x_idle", ratio_stepped <= 2.0 ? 1 : 0);
   json.begin_object("counters");
-  json.field("compact_steps", stats.compact_steps);
+  json.field("compact_steps", metric(stats, "bullet_compact_steps_total"));
   json.field("compact_lock_hold_ns_max_stepped", stepped_hold_ns_max);
   json.field("compact_lock_hold_ns_max_overall",
-             stats.compact_lock_hold_ns_max);
+             metric(stats, "bullet_compact_lock_hold_ns_max"));
   json.field("disk_submitted", io.submitted);
   json.field("disk_completed", io.completed);
   json.field("disk_inline_completions", io.inline_completions);
   json.field("disk_queue_depth_max", io.queue_depth_max);
-  json.field("lock_wait_ns", stats.lock_wait_ns);
+  json.field("lock_wait_ns", metric(stats, "bullet_lock_wait_ns_total"));
   json.end_object();
   json.end_object();
 
@@ -443,12 +443,13 @@ int main(int argc, char** argv) {
   // Lock-contention counters after the storm: lock_wait_ns is the time
   // readers spent blocked (mostly behind the occasional exclusive op);
   // pinned_evict_defers stays 0 here because the cache never fills.
-  const auto stats = rig.server().stats();
+  const std::string stats = rig.server().metrics_text();
   json.begin_object("counters");
-  json.field("lock_wait_ns", stats.lock_wait_ns);
-  json.field("pinned_evict_defers", stats.pinned_evict_defers);
-  json.field("cache_hits", stats.cache_hits);
-  json.field("bytes_copied", stats.bytes_copied);
+  json.field("lock_wait_ns", metric(stats, "bullet_lock_wait_ns_total"));
+  json.field("pinned_evict_defers",
+             metric(stats, "bullet_pinned_evict_defers_total"));
+  json.field("cache_hits", metric(stats, "bullet_cache_hits_total"));
+  json.field("bytes_copied", metric(stats, "bullet_bytes_copied_total"));
   json.end_object();
 
   json.end_object();

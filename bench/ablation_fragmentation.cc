@@ -73,22 +73,26 @@ int run() {
       live.pop_back();
     }
     if (op % 800 == 0) {
-      const auto stats = server->stats();
+      const std::string stats = server->metrics_text();
       std::printf("  %-8d %11" PRIu64 "%% %12" PRIu64 " %10" PRIu64
                   " %14" PRIu64 "\n",
-                  op, live_bytes * 100 / data_bytes, stats.disk_free_bytes,
-                  stats.disk_holes, stats.disk_largest_hole_bytes);
+                  op, live_bytes * 100 / data_bytes,
+                  metric(stats, "bullet_disk_free_bytes"),
+                  metric(stats, "bullet_disk_holes"),
+                  metric(stats, "bullet_disk_largest_hole_bytes"));
     }
   }
 
-  const auto before = server->stats();
+  const std::string before = server->metrics_text();
   auto moved = server->compact_disk();
-  const auto after = server->stats();
+  const std::string after = server->metrics_text();
   std::printf("\n3 am compaction: moved %" PRIu64 " blocks; holes %" PRIu64
               " -> %" PRIu64 "; largest hole %" PRIu64 " -> %" PRIu64
               " bytes\n",
-              moved.value_or(0), before.disk_holes, after.disk_holes,
-              before.disk_largest_hole_bytes, after.disk_largest_hole_bytes);
+              moved.value_or(0), metric(before, "bullet_disk_holes"),
+              metric(after, "bullet_disk_holes"),
+              metric(before, "bullet_disk_largest_hole_bytes"),
+              metric(after, "bullet_disk_largest_hole_bytes"));
   if (first_failure_utilization_pct > 0) {
     std::printf("first allocation failure at %" PRIu64
                 "%% utilization (paper's rule of thumb: ~60%%: \"800 MB "

@@ -295,7 +295,7 @@ PhaseResult run_phase(Rig& rig, const std::vector<Capability>& files,
     result.scheduled = i;
   }
 
-  const auto before = rig.server().stats();
+  const std::string before = rig.server().metrics_text();
 
   struct SenderStats {
     std::uint64_t ok = 0, pushback = 0, deadline = 0, other = 0;
@@ -387,10 +387,13 @@ PhaseResult run_phase(Rig& rig, const std::vector<Capability>& files,
   result.achieved_offered_s = static_cast<double>(sent.load()) / elapsed;
   result.goodput_ops_s = static_cast<double>(result.ok) / elapsed;
 
-  const auto after = rig.server().stats();
-  result.shed_pushback = after.shed_pushback - before.shed_pushback;
-  result.deadline_expired = after.deadline_expired - before.deadline_expired;
-  result.inflight_sheds = after.inflight_sheds - before.inflight_sheds;
+  const std::string after = rig.server().metrics_text();
+  const auto delta = [&](const char* name) {
+    return metric(after, name) - metric(before, name);
+  };
+  result.shed_pushback = delta("bullet_shed_pushback_total");
+  result.deadline_expired = delta("bullet_deadline_expired_total");
+  result.inflight_sheds = delta("bullet_inflight_sheds_total");
   return result;
 }
 
@@ -490,7 +493,7 @@ int run(bool smoke, bool check, std::uint64_t seed, double zipf_s,
   std::uint64_t acked_lost_total = 0;
   for (const PhaseResult& r : phases) acked_lost_total += r.acked_lost;
 
-  const auto stats = rig.server().stats();
+  const std::string stats = rig.server().metrics_text();
   JsonWriter json;
   json.begin_object();
   stamp_provenance(json, "overload");
@@ -531,10 +534,11 @@ int run(bool smoke, bool check, std::uint64_t seed, double zipf_s,
   json.field("served_p99_2x_over_1x", p99_2x_over_1x);
   json.field("acked_lost_total", acked_lost_total);
   json.begin_object("counters");
-  json.field("shed_pushback", stats.shed_pushback);
-  json.field("deadline_expired", stats.deadline_expired);
-  json.field("rx_queue_depth_max", stats.rx_queue_depth_max);
-  json.field("inflight_sheds", stats.inflight_sheds);
+  json.field("shed_pushback", metric(stats, "bullet_shed_pushback_total"));
+  json.field("deadline_expired",
+             metric(stats, "bullet_deadline_expired_total"));
+  json.field("rx_queue_depth_max", metric(stats, "bullet_rx_queue_depth_max"));
+  json.field("inflight_sheds", metric(stats, "bullet_inflight_sheds_total"));
   json.end_object();
   json.end_object();
   std::printf("%s\n", json.str().c_str());

@@ -259,20 +259,26 @@ int main() {
     for (int i = 0; i < 8; ++i) {
       if (!rig.client().read(cap.value()).ok()) return 1;
     }
-    auto stats = rig.client().stats();
+    auto stats = rig.client().stats_text();
     if (!stats.ok()) return 1;
+    const std::uint64_t bytes_copied =
+        metric(stats.value(), "bullet_bytes_copied_total");
+    const std::uint64_t scratch_allocs =
+        metric(stats.value(), "bullet_scratch_allocs_total");
+    const std::uint64_t evict_scans =
+        metric(stats.value(), "bullet_evict_scans_total");
     json.begin_object("counters");
-    json.field("bytes_copied", stats.value().bytes_copied);
-    json.field("scratch_allocs", stats.value().scratch_allocs);
-    json.field("evict_scans", stats.value().evict_scans);
-    json.field("cache_hits", stats.value().cache_hits);
+    json.field("bytes_copied", bytes_copied);
+    json.field("scratch_allocs", scratch_allocs);
+    json.field("evict_scans", evict_scans);
+    json.field("cache_hits", metric(stats.value(), "bullet_cache_hits_total"));
     json.end_object();
     std::fprintf(stderr,
                  "\nhot-path counters: bytes_copied=%llu scratch_allocs=%llu "
                  "evict_scans=%llu\n",
-                 static_cast<unsigned long long>(stats.value().bytes_copied),
-                 static_cast<unsigned long long>(stats.value().scratch_allocs),
-                 static_cast<unsigned long long>(stats.value().evict_scans));
+                 static_cast<unsigned long long>(bytes_copied),
+                 static_cast<unsigned long long>(scratch_allocs),
+                 static_cast<unsigned long long>(evict_scans));
   }
 
   json.end_object();

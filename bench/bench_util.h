@@ -8,8 +8,10 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -21,6 +23,7 @@
 #include "disk/sim_disk.h"
 #include "nfsbase/client.h"
 #include "nfsbase/server.h"
+#include "obs/metrics.h"
 #include "rpc/transport.h"
 #include "sim/testbed.h"
 
@@ -227,6 +230,21 @@ inline JsonWriter& stamp_provenance(JsonWriter& json, const char* bench_name) {
       .field("git_sha", BULLET_GIT_SHA)
       .field("host_cpus",
              static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
+}
+
+// One value from a STATS2 exposition, by its metric name. Aborts on an
+// absent name: a misspelt metric must never print as 0.
+inline std::uint64_t metric(std::string_view text, std::string_view name) {
+  const auto value = obs::metric_value(text, name);
+  if (!value) {
+    std::fprintf(stderr, "no metric named %.*s\n",
+                 static_cast<int>(name.size()), name.data());
+    std::abort();
+  }
+  return *value;
+}
+inline std::uint64_t metric(const BulletServer& server, std::string_view name) {
+  return metric(server.metrics_text(), name);
 }
 
 // --- table printing ---------------------------------------------------------

@@ -22,6 +22,7 @@
 #include "disk/mem_disk.h"
 #include "disk/mirrored_disk.h"
 #include "kvstore/kv_store.h"
+#include "obs/metrics.h"
 #include "rpc/transport.h"
 
 using namespace bullet;
@@ -93,11 +94,16 @@ int main() {
               other.value().cas_conflicts());
 
   // A small update rewrites one bucket, not the database.
-  const auto creates_before = server.value()->stats().creates;
+  const auto creates = [&server] {
+    return obs::metric_value(server.value()->metrics_text(),
+                             "bullet_creates_total")
+        .value_or(0);
+  };
+  const std::uint64_t creates_before = creates();
   if (!db.value().put("ast", as_span("Andrew S. Tanenbaum (updated)")).ok())
     return 1;
   std::printf("one update -> %" PRIu64 " new file version(s), not %u\n",
-              server.value()->stats().creates - creates_before,
+              creates() - creates_before,
               db.value().bucket_count());
 
   // Reopen purely from the directory: full scan in key order.

@@ -10,6 +10,7 @@
 #include "bullet/server.h"
 #include "disk/mem_disk.h"
 #include "disk/mirrored_disk.h"
+#include "obs/metrics.h"
 #include "rpc/transport.h"
 
 using namespace bullet;
@@ -71,9 +72,11 @@ int main() {
   std::printf("BULLET.DELETE  -> old version gone\n");
 
   // 4. Server internals.
-  auto stats = client.stats();
+  auto stats = client.stats_text();
   if (!stats.ok()) return 1;
-  const auto& s = stats.value();
+  const auto metric = [&stats](const char* name) {
+    return obs::metric_value(stats.value(), name).value_or(0);
+  };
   std::printf(
       "\nserver stats: %" PRIu64 " creates, %" PRIu64 " reads, %" PRIu64
       " deletes\n"
@@ -81,9 +84,12 @@ int main() {
       " bytes free\n"
       "  disk:  %" PRIu64 " bytes free in %" PRIu64
       " hole(s), largest %" PRIu64 "; %" PRIu64 " healthy replicas\n",
-      s.creates, s.reads, s.deletes, s.cache_hits, s.cache_misses,
-      s.cache_free_bytes, s.disk_free_bytes, s.disk_holes,
-      s.disk_largest_hole_bytes, s.healthy_replicas);
+      metric("bullet_creates_total"), metric("bullet_reads_total"),
+      metric("bullet_deletes_total"), metric("bullet_cache_hits_total"),
+      metric("bullet_cache_misses_total"), metric("bullet_cache_free_bytes"),
+      metric("bullet_disk_free_bytes"), metric("bullet_disk_holes"),
+      metric("bullet_disk_largest_hole_bytes"),
+      metric("bullet_healthy_replicas"));
 
   auto report = client.fsck();
   if (!report.ok()) return 1;

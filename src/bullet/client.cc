@@ -121,12 +121,6 @@ Result<Capability> BulletClient::restrict(const Capability& cap,
   return Capability::decode(r);
 }
 
-Result<wire::ServerStats> BulletClient::stats() {
-  BULLET_ASSIGN_OR_RETURN(Bytes body, call(server_, wire::kStats, {}));
-  Reader r(body);
-  return wire::ServerStats::decode(r);
-}
-
 Result<std::string> BulletClient::stats_text() {
   BULLET_ASSIGN_OR_RETURN(Bytes body, call(server_, wire::kStats2, {}));
   Reader r(body);

@@ -47,8 +47,8 @@ class BulletClient {
   Result<Capability> restrict(const Capability& cap, std::uint8_t new_rights);
 
   // Administration (server capability needs the admin right).
-  Result<wire::ServerStats> stats();
-  // BS_STATS2: the server's named-metric exposition (Prometheus text).
+  // BS_STATS2: the server's named-metric exposition (Prometheus text);
+  // read one value with obs::metric_value().
   Result<std::string> stats_text();
   // BS_TRACE_DUMP: drain traced span chains whose wall-clock extent is at
   // least `threshold_ns`, at most `max_spans` spans.

@@ -58,8 +58,8 @@ class ExtentAllocator {
     return total_free_;
   }
   // O(1): hole sizes are maintained incrementally in a multiset as holes
-  // split and coalesce (stats() polls this; a scan of the hole map per
-  // poll would be O(holes)).
+  // split and coalesce (every metrics scrape polls this; a scan of the
+  // hole map per poll would be O(holes)).
   std::uint64_t largest_hole() const noexcept {
     std::lock_guard<std::mutex> lock(mu_);
     return hole_sizes_.empty() ? 0 : *hole_sizes_.rbegin();

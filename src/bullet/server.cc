@@ -104,64 +104,90 @@ BulletServer::BulletServer(MirroredDisk* disk, BulletConfig config,
   super_random_ = Speck64(config_.secret).encrypt(config_.private_port) & kMask48;
   if (super_random_ == 0) super_random_ = 1;
 
-  // The one metrics group this server exports (kStats2). Every ServerStats
-  // counter appears under a stable name, plus cache internals and the
-  // latency histograms; the canonical name list lives in docs/PROTOCOL.md
-  // and is pinned by the obs introspection test. Rendered lock-free here —
-  // stats() takes its own shared lock.
+  // The server's one statistics interface (kStats2): every counter under a
+  // stable name, plus the latency histograms. The STATS2 table in
+  // docs/PROTOCOL.md is the canonical name list; the obs introspection
+  // test checks it against this exposition in both directions. Adding a
+  // counter is one atomic, one line here and one row there.
   metrics_.register_group([this](obs::MetricEmitter& e) {
-    const wire::ServerStats s = stats();
+    const auto relaxed = [](const std::atomic<std::uint64_t>& counter) {
+      return counter.load(std::memory_order_relaxed);
+    };
+    const auto io = [this](std::atomic<std::uint64_t> rpc::IoCounters::*field)
+        -> std::uint64_t {
+      if (io_counters_ == nullptr) return 0;
+      return (io_counters_->*field).load(std::memory_order_relaxed);
+    };
+    const std::uint64_t bs = layout_.block_size();
+    // The allocator, cache and placement state are guarded by state_mu_;
+    // the histograms need no lock.
+    auto lock = lock_shared();
     const FileCache::Stats cs = cache_.stats();
-    e.value("bullet_creates_total", s.creates);
-    e.value("bullet_reads_total", s.reads);
-    e.value("bullet_deletes_total", s.deletes);
-    e.value("bullet_cache_hits_total", s.cache_hits);
-    e.value("bullet_cache_misses_total", s.cache_misses);
-    e.value("bullet_cache_evictions_total", s.cache_evictions);
-    e.value("bullet_bytes_stored_total", s.bytes_stored);
-    e.value("bullet_bytes_served_total", s.bytes_served);
-    e.value("bullet_files_live", s.files_live);
-    e.value("bullet_disk_free_bytes", s.disk_free_bytes);
-    e.value("bullet_disk_largest_hole_bytes", s.disk_largest_hole_bytes);
-    e.value("bullet_disk_holes", s.disk_holes);
-    e.value("bullet_cache_free_bytes", s.cache_free_bytes);
-    e.value("bullet_healthy_replicas", s.healthy_replicas);
-    e.value("bullet_bytes_copied_total", s.bytes_copied);
-    e.value("bullet_scratch_allocs_total", s.scratch_allocs);
-    e.value("bullet_evict_scans_total", s.evict_scans);
-    e.value("bullet_io_errors_total", s.io_errors);
-    e.value("bullet_read_repairs_total", s.read_repairs);
-    e.value("bullet_failovers_total", s.failovers);
-    e.value("bullet_bg_write_failures_total", s.bg_write_failures);
-    e.value("bullet_rx_batches_total", s.rx_batches);
-    e.value("bullet_worker_wakeups_total", s.worker_wakeups);
-    e.value("bullet_lock_wait_ns_total", s.lock_wait_ns);
-    e.value("bullet_pinned_evict_defers_total", s.pinned_evict_defers);
-    e.value("bullet_disk_inflight", s.disk_inflight);
-    e.value("bullet_disk_queue_depth_max", s.disk_queue_depth_max);
-    e.value("bullet_compact_steps_total", s.compact_steps);
-    e.value("bullet_compact_lock_hold_ns_max", s.compact_lock_hold_ns_max);
-    e.value("bullet_shed_pushback_total", s.shed_pushback);
-    e.value("bullet_deadline_expired_total", s.deadline_expired);
-    e.value("bullet_rx_queue_depth_max", s.rx_queue_depth_max);
-    e.value("bullet_inflight_sheds_total", s.inflight_sheds);
-    e.value("bullet_repl_role", s.repl_role);
-    e.value("bullet_repl_peer_healthy", s.repl_peer_healthy);
-    e.value("bullet_repl_pushes_total", s.repl_pushes);
-    e.value("bullet_repl_push_failures_total", s.repl_push_failures);
-    e.value("bullet_repl_installs_total", s.repl_installs);
-    e.value("bullet_repl_resyncs_total", s.repl_resyncs);
-    e.value("bullet_repl_resync_files_total", s.repl_resync_files);
-    e.value("bullet_repl_dedup_hits_total", s.repl_dedup_hits);
-    e.value("bullet_shard_id", s.shard_id);
-    e.value("bullet_shard_epoch", s.shard_epoch);
-    e.value("bullet_wrong_shard_replies_total", s.wrong_shard_replies);
-    e.value("bullet_shard_map_installs_total", s.shard_map_installs);
+    const MirroredDisk::Health& health = disk_->health();
+    const AsyncDiskQueue::Stats qs = io_.stats();
+    ReplRole role;
+    bool peer_healthy;
+    {
+      std::lock_guard repl_lock(repl_mu_);
+      role = repl_.role;
+      peer_healthy = repl_.peer_healthy;
+    }
+    e.value("bullet_creates_total", relaxed(creates_));
+    e.value("bullet_reads_total", relaxed(reads_));
+    e.value("bullet_deletes_total", relaxed(deletes_));
+    e.value("bullet_cache_hits_total", relaxed(cache_hits_));
+    e.value("bullet_cache_misses_total", relaxed(cache_misses_));
+    e.value("bullet_cache_evictions_total", cs.evictions);
+    e.value("bullet_bytes_stored_total", relaxed(bytes_stored_));
+    e.value("bullet_bytes_served_total", relaxed(bytes_served_));
+    e.value("bullet_files_live", relaxed(live_files_));
+    e.value("bullet_disk_free_bytes", disk_free_.total_free() * bs);
+    e.value("bullet_disk_largest_hole_bytes", disk_free_.largest_hole() * bs);
+    e.value("bullet_disk_holes", disk_free_.hole_count());
+    e.value("bullet_cache_free_bytes", cache_.free_bytes());
+    e.value("bullet_healthy_replicas",
+            static_cast<std::uint64_t>(disk_->healthy_count()));
+    e.value("bullet_bytes_copied_total", relaxed(bytes_copied_));
+    e.value("bullet_scratch_allocs_total", relaxed(scratch_allocs_));
+    e.value("bullet_evict_scans_total", cs.evict_scans);
+    e.value("bullet_io_errors_total", health.io_errors);
+    e.value("bullet_read_repairs_total", health.read_repairs);
+    e.value("bullet_failovers_total", health.failovers);
+    e.value("bullet_bg_write_failures_total", health.bg_write_failures);
+    e.value("bullet_rx_batches_total", io(&rpc::IoCounters::rx_batches));
+    e.value("bullet_worker_wakeups_total",
+            io(&rpc::IoCounters::worker_wakeups));
+    e.value("bullet_lock_wait_ns_total", relaxed(lock_wait_ns_));
+    e.value("bullet_pinned_evict_defers_total", cs.pinned_evict_defers);
+    e.value("bullet_disk_inflight", qs.inflight);
+    e.value("bullet_disk_queue_depth_max", qs.queue_depth_max);
+    e.value("bullet_compact_steps_total", relaxed(compact_steps_));
+    e.value("bullet_compact_lock_hold_ns_max",
+            relaxed(compact_lock_hold_ns_max_));
+    e.value("bullet_shed_pushback_total", io(&rpc::IoCounters::shed_pushback));
+    e.value("bullet_deadline_expired_total",
+            io(&rpc::IoCounters::deadline_expired));
+    e.value("bullet_rx_queue_depth_max",
+            io(&rpc::IoCounters::rx_queue_depth_max));
+    e.value("bullet_inflight_sheds_total", relaxed(inflight_sheds_));
+    e.value("bullet_repl_role", static_cast<std::uint64_t>(role));
+    e.value("bullet_repl_peer_healthy", peer_healthy ? 1 : 0);
+    e.value("bullet_repl_pushes_total", relaxed(repl_pushes_));
+    e.value("bullet_repl_push_failures_total", relaxed(repl_push_failures_));
+    e.value("bullet_repl_installs_total", relaxed(repl_installs_));
+    e.value("bullet_repl_resyncs_total", relaxed(repl_resyncs_));
+    e.value("bullet_repl_resync_files_total", relaxed(repl_resync_files_));
+    e.value("bullet_repl_dedup_hits_total", relaxed(repl_dedup_hits_));
+    e.value("bullet_shard_id", shard_id_);
+    e.value("bullet_shard_epoch", placement_.epoch);
+    e.value("bullet_wrong_shard_replies_total", relaxed(wrong_shard_replies_));
+    e.value("bullet_shard_map_installs_total", relaxed(shard_map_installs_));
     e.value("bullet_cache_capacity_bytes", cs.capacity);
     e.value("bullet_cache_used_bytes", cs.used);
     e.value("bullet_cache_entries", cs.entries);
     e.value("bullet_cache_compactions_total", cs.compactions);
     e.value("bullet_cache_deferred_frees_total", cs.deferred_frees);
+    lock.unlock();
     e.histogram("bullet_read_latency_ns", read_latency_ns_.snapshot());
     e.histogram("bullet_create_latency_ns", create_latency_ns_.snapshot());
     e.histogram("bullet_delete_latency_ns", delete_latency_ns_.snapshot());
@@ -1340,11 +1366,11 @@ Result<BulletServer::CompactProgress> BulletServer::compact_step_locked(
   };
   auto account = [&](Result<CompactProgress> r) {
     compact_steps_.fetch_add(1, std::memory_order_relaxed);
-    const std::uint64_t held_ns = obs::now_ns() - t0;
+    const std::uint64_t hold_ns = obs::now_ns() - t0;
     std::uint64_t prev =
         compact_lock_hold_ns_max_.load(std::memory_order_relaxed);
-    while (held_ns > prev && !compact_lock_hold_ns_max_.compare_exchange_weak(
-                                 prev, held_ns, std::memory_order_relaxed)) {
+    while (hold_ns > prev && !compact_lock_hold_ns_max_.compare_exchange_weak(
+                                 prev, hold_ns, std::memory_order_relaxed)) {
     }
     return r;
   };
@@ -1593,91 +1619,6 @@ std::vector<BulletServer::ObjectInfo> BulletServer::list_objects() const {
                              inode.cache_index != 0});
   }
   return out;
-}
-
-BulletServer::CounterSnapshot BulletServer::snapshot_counters() const noexcept {
-  // One relaxed pass, front to back, into a plain struct. Workers keep
-  // mutating concurrently, but every field is read exactly once here
-  // instead of interleaved with the derived-stat computations below, so a
-  // snapshot is as internally consistent as relaxed counters allow.
-  CounterSnapshot c;
-  c.creates = creates_.load(std::memory_order_relaxed);
-  c.reads = reads_.load(std::memory_order_relaxed);
-  c.deletes = deletes_.load(std::memory_order_relaxed);
-  c.cache_hits = cache_hits_.load(std::memory_order_relaxed);
-  c.cache_misses = cache_misses_.load(std::memory_order_relaxed);
-  c.bytes_stored = bytes_stored_.load(std::memory_order_relaxed);
-  c.bytes_served = bytes_served_.load(std::memory_order_relaxed);
-  c.bytes_copied = bytes_copied_.load(std::memory_order_relaxed);
-  c.scratch_allocs = scratch_allocs_.load(std::memory_order_relaxed);
-  c.lock_wait_ns = lock_wait_ns_.load(std::memory_order_relaxed);
-  c.live_files = live_files_.load(std::memory_order_relaxed);
-  return c;
-}
-
-wire::ServerStats BulletServer::stats() const {
-  const auto lock = lock_shared();
-  const CounterSnapshot c = snapshot_counters();
-  const FileCache::Stats cache_stats = cache_.stats();
-  wire::ServerStats s;
-  s.creates = c.creates;
-  s.reads = c.reads;
-  s.deletes = c.deletes;
-  s.cache_hits = c.cache_hits;
-  s.cache_misses = c.cache_misses;
-  s.cache_evictions = cache_stats.evictions;
-  s.bytes_stored = c.bytes_stored;
-  s.bytes_served = c.bytes_served;
-  s.files_live = c.live_files;
-  s.disk_free_bytes = disk_free_.total_free() * layout_.block_size();
-  s.disk_largest_hole_bytes = disk_free_.largest_hole() * layout_.block_size();
-  s.disk_holes = disk_free_.hole_count();
-  s.cache_free_bytes = cache_.free_bytes();
-  s.healthy_replicas = static_cast<std::uint64_t>(disk_->healthy_count());
-  s.bytes_copied = c.bytes_copied;
-  s.scratch_allocs = c.scratch_allocs;
-  s.evict_scans = cache_stats.evict_scans;
-  const MirroredDisk::Health& health = disk_->health();
-  s.io_errors = health.io_errors;
-  s.read_repairs = health.read_repairs;
-  s.failovers = health.failovers;
-  s.bg_write_failures = health.bg_write_failures;
-  if (io_counters_ != nullptr) {
-    s.rx_batches = io_counters_->rx_batches.load(std::memory_order_relaxed);
-    s.worker_wakeups =
-        io_counters_->worker_wakeups.load(std::memory_order_relaxed);
-    s.shed_pushback =
-        io_counters_->shed_pushback.load(std::memory_order_relaxed);
-    s.deadline_expired =
-        io_counters_->deadline_expired.load(std::memory_order_relaxed);
-    s.rx_queue_depth_max =
-        io_counters_->rx_queue_depth_max.load(std::memory_order_relaxed);
-  }
-  s.inflight_sheds = inflight_sheds_.load(std::memory_order_relaxed);
-  s.lock_wait_ns = c.lock_wait_ns;
-  s.pinned_evict_defers = cache_stats.pinned_evict_defers;
-  const AsyncDiskQueue::Stats qs = io_.stats();
-  s.disk_inflight = qs.inflight;
-  s.disk_queue_depth_max = qs.queue_depth_max;
-  s.compact_steps = compact_steps_.load(std::memory_order_relaxed);
-  s.compact_lock_hold_ns_max =
-      compact_lock_hold_ns_max_.load(std::memory_order_relaxed);
-  {
-    std::lock_guard repl_lock(repl_mu_);
-    s.repl_role = static_cast<std::uint64_t>(repl_.role);
-    s.repl_peer_healthy = repl_.peer_healthy ? 1 : 0;
-  }
-  s.repl_pushes = repl_pushes_.load(std::memory_order_relaxed);
-  s.repl_push_failures = repl_push_failures_.load(std::memory_order_relaxed);
-  s.repl_installs = repl_installs_.load(std::memory_order_relaxed);
-  s.repl_resyncs = repl_resyncs_.load(std::memory_order_relaxed);
-  s.repl_resync_files = repl_resync_files_.load(std::memory_order_relaxed);
-  s.repl_dedup_hits = repl_dedup_hits_.load(std::memory_order_relaxed);
-  s.shard_id = shard_id_;
-  s.shard_epoch = placement_.epoch;
-  s.wrong_shard_replies = wrong_shard_replies_.load(std::memory_order_relaxed);
-  s.shard_map_installs = shard_map_installs_.load(std::memory_order_relaxed);
-  return s;
 }
 
 std::string BulletServer::metrics_text() const { return metrics_.render(); }

@@ -194,13 +194,14 @@ class BulletServer final : public rpc::Service {
 
   // --- administration ---------------------------------------------------
 
-  wire::ServerStats stats() const;
-  // The full named-metrics exposition (kStats2 reply payload): every
-  // stats() counter plus the per-operation latency histograms, rendered in
-  // Prometheus text format. See docs/PROTOCOL.md for the metric table.
+  // The server's statistics (kStats2 reply payload): every counter and
+  // gauge plus the per-operation latency histograms, rendered in
+  // Prometheus text format and read by name with obs::metric_value(). See
+  // docs/PROTOCOL.md for the metric table.
   std::string metrics_text() const;
-  // Surface a transport's I/O counters (rx_batches, worker_wakeups) in
-  // stats(); `counters` must outlive the server or be detached (nullptr).
+  // Surface a transport's I/O counters (rx batches, worker wakeups, sheds)
+  // in metrics_text(); `counters` must outlive the server or be detached
+  // (nullptr).
   void attach_io_counters(const rpc::IoCounters* counters) {
     io_counters_ = counters;
   }
@@ -603,7 +604,7 @@ class BulletServer final : public rpc::Service {
 
   const rpc::IoCounters* io_counters_ = nullptr;
 
-  // Counters surfaced via stats(). Relaxed atomics: readers bump them
+  // Counters surfaced via metrics_text(). Relaxed atomics: readers bump them
   // under the shared lock, concurrently with each other.
   mutable std::atomic<std::uint64_t> creates_{0};
   mutable std::atomic<std::uint64_t> reads_{0};
@@ -654,22 +655,13 @@ class BulletServer final : public rpc::Service {
   std::vector<wire::ReplManifest::Tombstone> tombstones_;
   std::map<std::uint64_t, DedupEntry> dedup_;
   std::deque<std::uint64_t> dedup_fifo_;  // FIFO eviction at kDedupCap
-  // Replication counters surfaced via stats().
+  // Replication counters surfaced via metrics_text().
   mutable std::atomic<std::uint64_t> repl_pushes_{0};
   mutable std::atomic<std::uint64_t> repl_push_failures_{0};
   mutable std::atomic<std::uint64_t> repl_installs_{0};
   mutable std::atomic<std::uint64_t> repl_resyncs_{0};
   mutable std::atomic<std::uint64_t> repl_resync_files_{0};
   mutable std::atomic<std::uint64_t> repl_dedup_hits_{0};
-
-  // A relaxed-load pass over the counters above, decoupling the snapshot
-  // from the field-by-field reads stats()/metrics_text() render from.
-  struct CounterSnapshot {
-    std::uint64_t creates, reads, deletes, cache_hits, cache_misses;
-    std::uint64_t bytes_stored, bytes_served, bytes_copied, scratch_allocs;
-    std::uint64_t lock_wait_ns, live_files;
-  };
-  CounterSnapshot snapshot_counters() const noexcept;
 
   // Per-operation service latencies (sampled requests only — the sampling
   // decision is shared with tracing, see obs/trace.h) and per-op disk I/O

@@ -209,12 +209,6 @@ void BulletServer::handle_async(const rpc::Request& request,
                         });
       return;
     }
-    case wire::kStats: {
-      if (denied(rights::kAdmin, false)) return;
-      Writer w(wire::ServerStats::kWireSize);
-      stats().encode(w);
-      return respond(rpc::Reply::success(std::move(w).take()));
-    }
     case wire::kSync: {
       if (denied(rights::kAdmin, false)) return;
       return respond(to_reply(sync()));

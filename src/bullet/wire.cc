@@ -109,104 +109,6 @@ Result<Bytes> apply_edits(ByteSpan base, std::span<const FileEdit> edits) {
   return out;
 }
 
-void ServerStats::encode(Writer& w) const {
-  w.u64(creates);
-  w.u64(reads);
-  w.u64(deletes);
-  w.u64(cache_hits);
-  w.u64(cache_misses);
-  w.u64(cache_evictions);
-  w.u64(bytes_stored);
-  w.u64(bytes_served);
-  w.u64(files_live);
-  w.u64(disk_free_bytes);
-  w.u64(disk_largest_hole_bytes);
-  w.u64(disk_holes);
-  w.u64(cache_free_bytes);
-  w.u64(healthy_replicas);
-  w.u64(bytes_copied);
-  w.u64(scratch_allocs);
-  w.u64(evict_scans);
-  w.u64(io_errors);
-  w.u64(read_repairs);
-  w.u64(failovers);
-  w.u64(bg_write_failures);
-  w.u64(rx_batches);
-  w.u64(worker_wakeups);
-  w.u64(lock_wait_ns);
-  w.u64(pinned_evict_defers);
-  w.u64(disk_inflight);
-  w.u64(disk_queue_depth_max);
-  w.u64(compact_steps);
-  w.u64(compact_lock_hold_ns_max);
-  w.u64(shed_pushback);
-  w.u64(deadline_expired);
-  w.u64(rx_queue_depth_max);
-  w.u64(inflight_sheds);
-  w.u64(repl_role);
-  w.u64(repl_peer_healthy);
-  w.u64(repl_pushes);
-  w.u64(repl_push_failures);
-  w.u64(repl_installs);
-  w.u64(repl_resyncs);
-  w.u64(repl_resync_files);
-  w.u64(repl_dedup_hits);
-  w.u64(shard_id);
-  w.u64(shard_epoch);
-  w.u64(wrong_shard_replies);
-  w.u64(shard_map_installs);
-}
-
-Result<ServerStats> ServerStats::decode(Reader& r) {
-  ServerStats s;
-  BULLET_ASSIGN_OR_RETURN(s.creates, r.u64());
-  BULLET_ASSIGN_OR_RETURN(s.reads, r.u64());
-  BULLET_ASSIGN_OR_RETURN(s.deletes, r.u64());
-  BULLET_ASSIGN_OR_RETURN(s.cache_hits, r.u64());
-  BULLET_ASSIGN_OR_RETURN(s.cache_misses, r.u64());
-  BULLET_ASSIGN_OR_RETURN(s.cache_evictions, r.u64());
-  BULLET_ASSIGN_OR_RETURN(s.bytes_stored, r.u64());
-  BULLET_ASSIGN_OR_RETURN(s.bytes_served, r.u64());
-  BULLET_ASSIGN_OR_RETURN(s.files_live, r.u64());
-  BULLET_ASSIGN_OR_RETURN(s.disk_free_bytes, r.u64());
-  BULLET_ASSIGN_OR_RETURN(s.disk_largest_hole_bytes, r.u64());
-  BULLET_ASSIGN_OR_RETURN(s.disk_holes, r.u64());
-  BULLET_ASSIGN_OR_RETURN(s.cache_free_bytes, r.u64());
-  BULLET_ASSIGN_OR_RETURN(s.healthy_replicas, r.u64());
-  BULLET_ASSIGN_OR_RETURN(s.bytes_copied, r.u64());
-  BULLET_ASSIGN_OR_RETURN(s.scratch_allocs, r.u64());
-  BULLET_ASSIGN_OR_RETURN(s.evict_scans, r.u64());
-  BULLET_ASSIGN_OR_RETURN(s.io_errors, r.u64());
-  BULLET_ASSIGN_OR_RETURN(s.read_repairs, r.u64());
-  BULLET_ASSIGN_OR_RETURN(s.failovers, r.u64());
-  BULLET_ASSIGN_OR_RETURN(s.bg_write_failures, r.u64());
-  BULLET_ASSIGN_OR_RETURN(s.rx_batches, r.u64());
-  BULLET_ASSIGN_OR_RETURN(s.worker_wakeups, r.u64());
-  BULLET_ASSIGN_OR_RETURN(s.lock_wait_ns, r.u64());
-  BULLET_ASSIGN_OR_RETURN(s.pinned_evict_defers, r.u64());
-  BULLET_ASSIGN_OR_RETURN(s.disk_inflight, r.u64());
-  BULLET_ASSIGN_OR_RETURN(s.disk_queue_depth_max, r.u64());
-  BULLET_ASSIGN_OR_RETURN(s.compact_steps, r.u64());
-  BULLET_ASSIGN_OR_RETURN(s.compact_lock_hold_ns_max, r.u64());
-  BULLET_ASSIGN_OR_RETURN(s.shed_pushback, r.u64());
-  BULLET_ASSIGN_OR_RETURN(s.deadline_expired, r.u64());
-  BULLET_ASSIGN_OR_RETURN(s.rx_queue_depth_max, r.u64());
-  BULLET_ASSIGN_OR_RETURN(s.inflight_sheds, r.u64());
-  BULLET_ASSIGN_OR_RETURN(s.repl_role, r.u64());
-  BULLET_ASSIGN_OR_RETURN(s.repl_peer_healthy, r.u64());
-  BULLET_ASSIGN_OR_RETURN(s.repl_pushes, r.u64());
-  BULLET_ASSIGN_OR_RETURN(s.repl_push_failures, r.u64());
-  BULLET_ASSIGN_OR_RETURN(s.repl_installs, r.u64());
-  BULLET_ASSIGN_OR_RETURN(s.repl_resyncs, r.u64());
-  BULLET_ASSIGN_OR_RETURN(s.repl_resync_files, r.u64());
-  BULLET_ASSIGN_OR_RETURN(s.repl_dedup_hits, r.u64());
-  BULLET_ASSIGN_OR_RETURN(s.shard_id, r.u64());
-  BULLET_ASSIGN_OR_RETURN(s.shard_epoch, r.u64());
-  BULLET_ASSIGN_OR_RETURN(s.wrong_shard_replies, r.u64());
-  BULLET_ASSIGN_OR_RETURN(s.shard_map_installs, r.u64());
-  return s;
-}
-
 void ReplManifest::encode(Writer& w) const {
   w.u64(role);
   w.u32(static_cast<std::uint32_t>(files.size()));
@@ -228,10 +130,25 @@ void ReplManifest::encode(Writer& w) const {
   }
 }
 
+namespace {
+
+// A manifest arrives in a peer's reply, so its counts are untrusted: a
+// count the remaining bytes cannot hold is corrupt and must not drive a
+// reserve.
+Result<std::uint32_t> read_count(Reader& r, std::size_t entry_size) {
+  BULLET_ASSIGN_OR_RETURN(const std::uint32_t count, r.u32());
+  if (count > r.remaining() / entry_size) {
+    return Error(ErrorCode::corrupt, "manifest count exceeds payload");
+  }
+  return count;
+}
+
+}  // namespace
+
 Result<ReplManifest> ReplManifest::decode(Reader& r) {
   ReplManifest m;
   BULLET_ASSIGN_OR_RETURN(m.role, r.u64());
-  BULLET_ASSIGN_OR_RETURN(const std::uint32_t nfiles, r.u32());
+  BULLET_ASSIGN_OR_RETURN(const std::uint32_t nfiles, read_count(r, 16));
   m.files.reserve(nfiles);
   for (std::uint32_t i = 0; i < nfiles; ++i) {
     File f;
@@ -240,7 +157,7 @@ Result<ReplManifest> ReplManifest::decode(Reader& r) {
     BULLET_ASSIGN_OR_RETURN(f.size, r.u32());
     m.files.push_back(f);
   }
-  BULLET_ASSIGN_OR_RETURN(const std::uint32_t ntombs, r.u32());
+  BULLET_ASSIGN_OR_RETURN(const std::uint32_t ntombs, read_count(r, 12));
   m.tombstones.reserve(ntombs);
   for (std::uint32_t i = 0; i < ntombs; ++i) {
     Tombstone t;
@@ -248,7 +165,7 @@ Result<ReplManifest> ReplManifest::decode(Reader& r) {
     BULLET_ASSIGN_OR_RETURN(t.random, r.u64());
     m.tombstones.push_back(t);
   }
-  BULLET_ASSIGN_OR_RETURN(const std::uint32_t ndedups, r.u32());
+  BULLET_ASSIGN_OR_RETURN(const std::uint32_t ndedups, read_count(r, 20));
   m.dedups.reserve(ndedups);
   for (std::uint32_t i = 0; i < ndedups; ++i) {
     DedupRecord d;

@@ -21,7 +21,8 @@ inline constexpr std::uint16_t kSize = 3;        // BULLET.SIZE
 inline constexpr std::uint16_t kDelete = 4;      // BULLET.DELETE
 inline constexpr std::uint16_t kCreateFrom = 5;  // §5 extension
 inline constexpr std::uint16_t kReadRange = 6;   // §5 extension
-inline constexpr std::uint16_t kStats = 7;       // admin
+// 7 was STATS, a fixed u64 block retired in favour of STATS2; it answers
+// not_supported and is never reassigned.
 inline constexpr std::uint16_t kSync = 8;        // admin
 inline constexpr std::uint16_t kCompactDisk = 9; // admin ("3 am" compaction)
 inline constexpr std::uint16_t kFsck = 10;       // admin
@@ -77,75 +78,6 @@ struct FileEdit {
 
 // Apply an edit script to `base`; fails on out-of-range offsets.
 Result<Bytes> apply_edits(ByteSpan base, std::span<const FileEdit> edits);
-
-// Server statistics (kStats reply payload).
-struct ServerStats {
-  std::uint64_t creates = 0;
-  std::uint64_t reads = 0;
-  std::uint64_t deletes = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t cache_evictions = 0;
-  std::uint64_t bytes_stored = 0;
-  std::uint64_t bytes_served = 0;
-  std::uint64_t files_live = 0;
-  std::uint64_t disk_free_bytes = 0;
-  std::uint64_t disk_largest_hole_bytes = 0;
-  std::uint64_t disk_holes = 0;
-  std::uint64_t cache_free_bytes = 0;
-  std::uint64_t healthy_replicas = 0;
-  // Hot-path cost counters (appended in the zero-copy rework; the stats
-  // payload grew from 14 to 17 u64s — append-only, so old decoders that
-  // stop at 14 still parse a prefix, and this decoder requires all 17).
-  std::uint64_t bytes_copied = 0;    // payload bytes staged through temp buffers
-  std::uint64_t scratch_allocs = 0;  // temp payload buffers heap-allocated
-  std::uint64_t evict_scans = 0;     // rnodes examined choosing LRU victims
-  // Degraded-mode counters (appended in the fault-injection rework; 17 ->
-  // 21 u64s, same append-only discipline).
-  std::uint64_t io_errors = 0;          // device-level I/O errors observed
-  std::uint64_t read_repairs = 0;       // blocks healed from a mirror peer
-  std::uint64_t failovers = 0;          // replica demotions since boot
-  std::uint64_t bg_write_failures = 0;  // lazy (post-ack) replica writes lost
-  // Concurrency counters (appended in the worker-pool rework; 21 -> 25
-  // u64s, same append-only discipline).
-  std::uint64_t rx_batches = 0;          // batched socket receives (recvmmsg)
-  std::uint64_t worker_wakeups = 0;      // dispatch-thread wakeups
-  std::uint64_t lock_wait_ns = 0;        // time spent blocked on the state lock
-  std::uint64_t pinned_evict_defers = 0; // LRU victims skipped: reader pin held
-  // Async-pipeline counters (appended in the disk-queue rework; 25 -> 29
-  // u64s, same append-only discipline).
-  std::uint64_t disk_inflight = 0;         // disk ops submitted, not completed
-  std::uint64_t disk_queue_depth_max = 0;  // high-water mark of disk_inflight
-  std::uint64_t compact_steps = 0;         // incremental compaction steps run
-  std::uint64_t compact_lock_hold_ns_max = 0;  // longest per-step lock hold
-  // Overload-control counters (appended in the admission-control rework;
-  // 29 -> 33 u64s).
-  std::uint64_t shed_pushback = 0;      // requests shed with a BS_PUSHBACK reply
-  std::uint64_t deadline_expired = 0;   // expired requests dropped at dequeue
-  std::uint64_t rx_queue_depth_max = 0; // high-water mark of queued requests
-  std::uint64_t inflight_sheds = 0;     // service sheds: disk-fill bound hit
-  // Replication counters (appended in the replicated-pairs rework; 33 ->
-  // 41 u64s, same append-only discipline).
-  std::uint64_t repl_role = 0;          // 0 solo, 1 primary, 2 backup
-  std::uint64_t repl_peer_healthy = 0;  // 1 when the peer answers
-  std::uint64_t repl_pushes = 0;        // creates + erases propagated OK
-  std::uint64_t repl_push_failures = 0; // propagations lost -> solo degrade
-  std::uint64_t repl_installs = 0;      // peer ops applied locally
-  std::uint64_t repl_resyncs = 0;       // completed resync passes
-  std::uint64_t repl_resync_files = 0;  // files copied by resync, cumulative
-  std::uint64_t repl_dedup_hits = 0;    // retried ops answered from record
-  // Cluster-placement counters (appended in the sharding rework; 41 -> 45
-  // u64s, same append-only discipline).
-  std::uint64_t shard_id = 0;            // this server's ring identity
-  std::uint64_t shard_epoch = 0;         // installed placement-map epoch
-  std::uint64_t wrong_shard_replies = 0; // routing misses answered wrong_shard
-  std::uint64_t shard_map_installs = 0;  // placement maps accepted
-
-  static constexpr std::size_t kWireSize = 45 * 8;
-
-  void encode(Writer& w) const;
-  static Result<ServerStats> decode(Reader& r);
-};
 
 // Replication manifest (kReplicate/kReplManifest reply payload): every
 // live file's identity, the tombstones of deletes accepted while the peer

@@ -222,14 +222,6 @@ Status RoutingClient::erase(const Capability& cap) {
   return Status::success();
 }
 
-Result<wire::ServerStats> RoutingClient::shard_stats(std::uint32_t shard_id) {
-  BULLET_RETURN_IF_ERROR(ensure_map());
-  BULLET_ASSIGN_OR_RETURN(Bytes body,
-                          call_at(map_, shard_id, super_, wire::kStats, {}, 0));
-  Reader r(body);
-  return wire::ServerStats::decode(r);
-}
-
 Result<std::uint32_t> RoutingClient::shard_for(std::uint32_t object) {
   BULLET_RETURN_IF_ERROR(ensure_map());
   if (ring_.empty()) {

@@ -43,8 +43,7 @@ class RoutingClient {
   using Resolver = std::function<rpc::Transport*(const ShardInfo&)>;
 
   // `cluster_super` is the shards' shared server capability (object 0)
-  // carrying at least the write right for create and the admin right for
-  // shard_stats().
+  // carrying at least the write right for create.
   RoutingClient(dir::DirClient* dir, Capability cluster_super,
                 Resolver resolver)
       : dir_(dir), super_(cluster_super), resolver_(std::move(resolver)) {}
@@ -64,9 +63,6 @@ class RoutingClient {
   Result<Bytes> read_range(const Capability& cap, std::uint32_t offset,
                            std::uint32_t length);
   Status erase(const Capability& cap);
-
-  // Admin: one shard's stats, addressed by ring identity.
-  Result<wire::ServerStats> shard_stats(std::uint32_t shard_id);
 
   // The owner of `object` under the cached map (fetching one if needed).
   Result<std::uint32_t> shard_for(std::uint32_t object);

@@ -1,5 +1,7 @@
 #include "obs/metrics.h"
 
+#include <charconv>
+
 namespace bullet::obs {
 
 namespace {
@@ -48,6 +50,27 @@ std::string MetricsRegistry::render() const {
   MetricEmitter emitter;
   for (const auto& group : groups) group(emitter);
   return std::move(emitter.out_);
+}
+
+std::optional<std::uint64_t> metric_value(std::string_view text,
+                                          std::string_view name) {
+  while (!text.empty()) {
+    const std::size_t eol = text.find('\n');
+    const std::string_view line = text.substr(0, eol);
+    text = eol == std::string_view::npos ? std::string_view()
+                                         : text.substr(eol + 1);
+    if (!line.starts_with(name) || line.size() <= name.size() ||
+        line[name.size()] != ' ') {
+      continue;
+    }
+    const char* const first = line.data() + name.size() + 1;
+    const char* const last = line.data() + line.size();
+    std::uint64_t v = 0;
+    const auto [end, ec] = std::from_chars(first, last, v);
+    if (ec != std::errc() || end != last) return std::nullopt;
+    return v;
+  }
+  return std::nullopt;
 }
 
 }  // namespace bullet::obs

@@ -15,12 +15,14 @@
 //
 // No type/help comments: every consumer in-tree (bullet_tool, the obs CI
 // check) wants the samples, and the format stays trivially parseable
-// (name or name{...}, space, unsigned integer).
+// (name or name{...}, space, unsigned integer). metric_value() below is
+// the one reader of that format.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -61,5 +63,12 @@ class MetricsRegistry {
   mutable std::mutex mu_;
   std::vector<Group> groups_;
 };
+
+// The value of the sample named `name` in an exposition text: the line
+// whose text before its space is exactly `name` (labels included, e.g.
+// `bullet_read_latency_ns{quantile="0.5"}`). Empty when no line carries
+// that name or its value is not an unsigned decimal integer.
+std::optional<std::uint64_t> metric_value(std::string_view text,
+                                          std::string_view name);
 
 }  // namespace bullet::obs

@@ -31,10 +31,10 @@ void FaultTransport::deliver_stale_locked(const Request& request) {
 }
 
 void FaultTransport::flush_due_locked() {
-  for (auto it = held_.begin(); it != held_.end();) {
+  for (auto it = delayed_.begin(); it != delayed_.end();) {
     if (it->due == 0) {
       deliver_stale_locked(it->request);
-      it = held_.erase(it);
+      it = delayed_.erase(it);
     } else {
       --it->due;
       ++it;
@@ -44,8 +44,8 @@ void FaultTransport::flush_due_locked() {
 
 void FaultTransport::flush() {
   std::lock_guard lock(mu_);
-  for (auto& h : held_) deliver_stale_locked(h.request);
-  held_.clear();
+  for (auto& h : delayed_) deliver_stale_locked(h.request);
+  delayed_.clear();
 }
 
 Result<Reply> FaultTransport::call(const Request& request) {
@@ -69,7 +69,7 @@ Result<Reply> FaultTransport::call(const Request& request) {
   }
   if (d.reorder) {
     ++counters_.reordered;
-    held_.push_back(Held{request, d.reorder_gap});
+    delayed_.push_back(Held{request, d.reorder_gap});
     return Error(ErrorCode::unreachable, "request reordered");
   }
 

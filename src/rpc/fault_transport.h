@@ -94,7 +94,7 @@ class FaultTransport final : public Transport {
   sim::FaultPlan plan_;
   sim::Clock* clock_;
   Partition partition_ = Partition::kNone;
-  std::deque<Held> held_;
+  std::deque<Held> delayed_;  // reordered requests awaiting delivery
   Counters counters_;
 };
 

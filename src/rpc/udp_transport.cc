@@ -345,21 +345,10 @@ void ReplyCache::insert(std::uint64_t peer, std::uint64_t message_id,
     if (!inserted) return;  // already cached
     bytes_ += it->second->size();
     fifo_.push_back(key);
-    // Held keys (requests currently executing, or whose reply is between
-    // insert and first transmission) are rotated to the back instead of
-    // evicted; `rotations` bounds the scan so the loop terminates when
-    // everything left is held (the bounds are then exceeded transiently).
-    std::size_t rotations = 0;
     while (fifo_.size() > 1 &&
-           (fifo_.size() > max_entries_ || bytes_ > max_bytes_) &&
-           rotations < fifo_.size()) {
+           (fifo_.size() > max_entries_ || bytes_ > max_bytes_)) {
       const Key victim = fifo_.front();
       fifo_.pop_front();
-      if (held_.count(victim) > 0) {
-        fifo_.push_back(victim);
-        ++rotations;
-        continue;
-      }
       const auto vit = entries_.find(victim);
       bytes_ -= vit->second->size();
       dropped.push_back(std::move(vit->second));
@@ -367,16 +356,6 @@ void ReplyCache::insert(std::uint64_t peer, std::uint64_t message_id,
       ++evictions_;
     }
   }
-}
-
-void ReplyCache::hold(std::uint64_t peer, std::uint64_t message_id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  held_.insert(Key{peer, message_id});
-}
-
-void ReplyCache::release(std::uint64_t peer, std::uint64_t message_id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  held_.erase(Key{peer, message_id});
 }
 
 std::shared_ptr<const Bytes> ReplyCache::find(std::uint64_t peer,
@@ -530,11 +509,6 @@ struct UdpServer::Impl : std::enable_shared_from_this<UdpServer::Impl> {
     ctx->peer = peer;
     ctx->message_id = message_id;
     ctx->pooled = pooled;
-    // Exempt this request from reply-cache eviction for the whole
-    // execute->reply window (released in finish()): shed-driven churn must
-    // not evict a reply before its first transmission, or a lost send plus
-    // a retransmit would re-execute.
-    replies.hold(peer, message_id);
     auto request = Request::decode(wire);
     if (!request.ok()) {
       finish(ctx, Reply::error(ErrorCode::bad_argument));
@@ -608,7 +582,6 @@ struct UdpServer::Impl : std::enable_shared_from_this<UdpServer::Impl> {
       replies.insert(ctx->peer, ctx->message_id,
                      std::make_shared<const Bytes>(reply.encode()));
     }
-    replies.release(ctx->peer, ctx->message_id);
     // Publish the trace (destructor clears this thread's TLS slot if the
     // trace is attached here — sync dispatch or a resumed continuation).
     ctx->trace.reset();

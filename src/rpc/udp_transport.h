@@ -46,7 +46,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -127,15 +126,9 @@ class Reassembler {
 // is always kept, even if it alone exceeds the byte bound — the cache must
 // be able to answer at least the retransmit of the last request. Internally
 // synchronized; entries are shared_ptrs so a found reply can be sent while
-// eviction concurrently drops it.
-//
-// hold()/release() protect in-flight requests from eviction churn: the
-// server holds (peer, id) for the whole execute->reply window, so a burst
-// of other clients' inserts can never evict a reply between its insert and
-// its first transmission — the gap that would let a lost send plus a
-// retransmit re-execute a request. Held keys are skipped by eviction
-// (rotated back, still FIFO for everything else); the bounds may be
-// exceeded transiently while more than max_entries requests are executing.
+// eviction concurrently drops it. The server inserts a reply only after its
+// first transmission, so eviction can never cost a reply its first send;
+// plain FIFO order is all the protection an executing request needs.
 class ReplyCache {
  public:
   ReplyCache(std::size_t max_entries, std::uint64_t max_bytes)
@@ -148,12 +141,6 @@ class ReplyCache {
               std::shared_ptr<const Bytes> reply);
   std::shared_ptr<const Bytes> find(std::uint64_t peer,
                                     std::uint64_t message_id) const;
-
-  // Exempt (peer, id) from eviction until release(). Idempotent; the key
-  // need not be cached yet (the usual case — hold at dispatch, insert at
-  // reply time).
-  void hold(std::uint64_t peer, std::uint64_t message_id);
-  void release(std::uint64_t peer, std::uint64_t message_id);
 
   std::size_t entries() const;
   std::uint64_t bytes() const;
@@ -169,7 +156,6 @@ class ReplyCache {
   std::uint64_t evictions_ = 0;
   std::map<Key, std::shared_ptr<const Bytes>> entries_;
   std::list<Key> fifo_;  // insertion order; front = oldest
-  std::set<Key> held_;   // executing requests, exempt from eviction
 };
 
 struct UdpServerOptions {
@@ -223,7 +209,8 @@ class UdpServer {
   // cache, or already queued/executing when the retransmit arrived).
   std::uint64_t duplicates_suppressed() const noexcept;
 
-  // Batch/wakeup tallies; attach to a BulletServer to surface in stats().
+  // Batch/wakeup/shed tallies; attach to a BulletServer to surface them in
+  // its metrics_text().
   const IoCounters& io_counters() const noexcept;
 
   void stop();

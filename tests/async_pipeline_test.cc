@@ -219,11 +219,11 @@ TEST(AsyncPipelineTest, MixedCallersJoinOneFill) {
   // rather than hitting the entry it publishes.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (server.stats().cache_misses < 3 &&
+  while (testing::metric(server, "bullet_cache_misses_total") < 3 &&
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  EXPECT_EQ(3u, server.stats().cache_misses);
+  EXPECT_EQ(3u, testing::metric(server, "bullet_cache_misses_total"));
   gate.release();
   create_from.join();
   fetch.join();
@@ -285,7 +285,8 @@ TEST(AsyncPipelineTest, ReadJoiningABypassCreateGetsItsImage) {
   const Bytes small = testing::payload(8000, 22);
   auto small_cap = server.create(small, 0);
   ASSERT_TRUE(small_cap.ok());
-  EXPECT_EQ(1u, server.stats().scratch_allocs);  // staged outside the arena
+  // Staged outside the arena.
+  EXPECT_EQ(1u, testing::metric(server, "bullet_scratch_allocs_total"));
   Latch small_done(1);
   std::optional<Result<BulletServer::PinnedFile>> joined;
   server.read_pinned_async(small_cap.value(), [&](auto r) {
@@ -431,8 +432,8 @@ TEST(AsyncPipelineTest, StormWithIncrementalCompaction) {
 
   EXPECT_EQ(0, failures.load());
   EXPECT_EQ(0u, server.check_consistency().repairs());
-  const auto stats = server.stats();
-  EXPECT_GT(stats.compact_steps, 0u);
+  const std::string stats = server.metrics_text();
+  EXPECT_GT(testing::metric(stats, "bullet_compact_steps_total"), 0u);
   EXPECT_EQ(0u, server.io_queue().stats().inline_completions);
   EXPECT_EQ(0u, server.io_queue().stats().inflight);
 }

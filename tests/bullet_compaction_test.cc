@@ -109,9 +109,10 @@ TEST(BulletCompactionTest, FragmentationStatsExposed) {
   auto c = h.server().create(payload(1024, 3), 2);
   ASSERT_TRUE(a.ok() && b.ok() && c.ok());
   ASSERT_OK(h.server().erase(b.value()));
-  const auto stats = h.server().stats();
-  EXPECT_GE(stats.disk_holes, 2u);
-  EXPECT_GT(stats.disk_free_bytes, stats.disk_largest_hole_bytes);
+  const std::string stats = h.server().metrics_text();
+  EXPECT_GE(testing::metric(stats, "bullet_disk_holes"), 2u);
+  EXPECT_GT(testing::metric(stats, "bullet_disk_free_bytes"),
+            testing::metric(stats, "bullet_disk_largest_hole_bytes"));
 }
 
 TEST(BulletCompactionTest, CachedFilesUnaffectedByDiskMoves) {

@@ -170,7 +170,7 @@ TEST_P(BulletFaultPropertyTest, SurvivesReplicaLossMidStream) {
       }
     }
   }
-  EXPECT_EQ(1u, h.server().stats().healthy_replicas);
+  EXPECT_EQ(1u, testing::metric(h.server(), "bullet_healthy_replicas"));
   // All state served from the survivor.
   for (const auto& [object, file] : oracle) {
     auto read = h.server().read(file.cap);

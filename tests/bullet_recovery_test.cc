@@ -238,7 +238,7 @@ TEST(BulletRecoveryTest, ServesFromSecondReplicaWhenMainDies) {
   auto read = h.server().read(a.value());
   ASSERT_TRUE(read.ok());
   EXPECT_TRUE(equal(payload(1500, 1), read.value()));
-  EXPECT_EQ(1u, h.server().stats().healthy_replicas);
+  EXPECT_EQ(1u, testing::metric(h.server(), "bullet_healthy_replicas"));
 }
 
 TEST(BulletRecoveryTest, ResilverRestoresRedundancy) {

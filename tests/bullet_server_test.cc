@@ -165,11 +165,21 @@ TEST(BulletServerTest, SuperCapabilityRightsEnforced) {
   // RPC dispatch; at the API level verify() is exercised through handle().
   rpc::Request request;
   request.target = h.server().super_capability(rights::kWrite);  // no admin
-  request.opcode = wire::kStats;
+  request.opcode = wire::kStats2;
   request.body = {};
   EXPECT_EQ(ErrorCode::permission, h.server().handle(request).status);
   request.target = h.server().super_capability(rights::kAdmin);
   EXPECT_EQ(ErrorCode::ok, h.server().handle(request).status);
+}
+
+TEST(BulletServerTest, RetiredStatsOpcodeAnswersNotSupported) {
+  // Opcode 7 was the fixed-layout STATS block; STATS2 replaced it. The
+  // number stays reserved and is refused even with the admin right.
+  BulletHarness h;
+  rpc::Request request;
+  request.target = h.server().super_capability(rights::kAdmin);
+  request.opcode = 7;
+  EXPECT_EQ(ErrorCode::not_supported, h.server().handle(request).status);
 }
 
 TEST(BulletServerTest, WrongPortRejected) {
@@ -213,10 +223,10 @@ TEST(BulletServerTest, RepeatedReadsHitCache) {
   for (int i = 0; i < 5; ++i) {
     ASSERT_TRUE(h.server().read(cap.value()).ok());
   }
-  const auto stats = h.server().stats();
+  const std::string stats = h.server().metrics_text();
   // The create left the file cached; every read was a hit.
-  EXPECT_EQ(5u, stats.cache_hits);
-  EXPECT_EQ(0u, stats.cache_misses);
+  EXPECT_EQ(5u, testing::metric(stats, "bullet_cache_hits_total"));
+  EXPECT_EQ(0u, testing::metric(stats, "bullet_cache_misses_total"));
 }
 
 TEST(BulletServerTest, EvictionThenReloadFromDisk) {
@@ -231,8 +241,8 @@ TEST(BulletServerTest, EvictionThenReloadFromDisk) {
   auto read = h.server().read(a.value());
   ASSERT_TRUE(read.ok());
   EXPECT_TRUE(equal(payload(1000, 1), read.value()));
-  EXPECT_GT(h.server().stats().cache_misses, 0u);
-  EXPECT_GT(h.server().stats().cache_evictions, 0u);
+  EXPECT_GT(testing::metric(h.server(), "bullet_cache_misses_total"), 0u);
+  EXPECT_GT(testing::metric(h.server(), "bullet_cache_evictions_total"), 0u);
 }
 
 TEST(BulletServerTest, FileLargerThanCacheRejected) {
@@ -355,15 +365,15 @@ TEST(BulletServerTest, StatsReflectActivity) {
   ASSERT_TRUE(a.ok() && b.ok());
   ASSERT_TRUE(h.server().read(a.value()).ok());
   ASSERT_OK(h.server().erase(b.value()));
-  const auto stats = h.server().stats();
-  EXPECT_EQ(2u, stats.creates);
-  EXPECT_EQ(1u, stats.reads);
-  EXPECT_EQ(1u, stats.deletes);
-  EXPECT_EQ(1u, stats.files_live);
-  EXPECT_EQ(1200u, stats.bytes_stored);
-  EXPECT_EQ(600u, stats.bytes_served);
-  EXPECT_EQ(2u, stats.healthy_replicas);
-  EXPECT_GT(stats.disk_free_bytes, 0u);
+  const std::string stats = h.server().metrics_text();
+  EXPECT_EQ(2u, testing::metric(stats, "bullet_creates_total"));
+  EXPECT_EQ(1u, testing::metric(stats, "bullet_reads_total"));
+  EXPECT_EQ(1u, testing::metric(stats, "bullet_deletes_total"));
+  EXPECT_EQ(1u, testing::metric(stats, "bullet_files_live"));
+  EXPECT_EQ(1200u, testing::metric(stats, "bullet_bytes_stored_total"));
+  EXPECT_EQ(600u, testing::metric(stats, "bullet_bytes_served_total"));
+  EXPECT_EQ(2u, testing::metric(stats, "bullet_healthy_replicas"));
+  EXPECT_GT(testing::metric(stats, "bullet_disk_free_bytes"), 0u);
 }
 
 TEST(BulletServerTest, ConsistencyCheckCleanOnHealthyServer) {

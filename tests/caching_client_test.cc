@@ -31,7 +31,9 @@ class CachingClientTest : public ::testing::Test {
         /*capacity_bytes=*/64 * 1024);
   }
 
-  std::uint64_t server_reads() { return h_.server().stats().reads; }
+  std::uint64_t server_reads() {
+    return testing::metric(h_.server(), "bullet_reads_total");
+  }
 
   BulletHarness h_;
   rpc::LoopbackTransport transport_;

@@ -197,11 +197,11 @@ TEST(ShardMapTest, InstallEpochDiscipline) {
   absent.shards.erase(absent.shards.begin());
   EXPECT_CODE(bad_argument, server.install_placement(1, absent));
 
-  EXPECT_EQ(2u, server.stats().shard_epoch);
-  EXPECT_EQ(1u, server.stats().shard_id);
+  EXPECT_EQ(2u, testing::metric(server, "bullet_shard_epoch"));
+  EXPECT_EQ(1u, testing::metric(server, "bullet_shard_id"));
   // Only installs that took effect count; the idempotent re-install above
   // was a no-op.
-  EXPECT_EQ(1u, server.stats().shard_map_installs);
+  EXPECT_EQ(1u, testing::metric(server, "bullet_shard_map_installs_total"));
 }
 
 TEST(ShardMapTest, WrongShardOnlyForAbsentForeignObjects) {
@@ -230,7 +230,8 @@ TEST(ShardMapTest, WrongShardOnlyForAbsentForeignObjects) {
     if (ring.owner_of(cap.object) != 1) saw_foreign_held = true;
   }
   EXPECT_TRUE(saw_foreign_held);
-  EXPECT_EQ(0u, h.server().stats().wrong_shard_replies);
+  EXPECT_EQ(0u,
+            testing::metric(h.server(), "bullet_wrong_shard_replies_total"));
 
   // An *absent* object the ring places elsewhere is a routing miss.
   std::uint32_t foreign_free = 0, local_free = 0;
@@ -250,7 +251,8 @@ TEST(ShardMapTest, WrongShardOnlyForAbsentForeignObjects) {
   EXPECT_CODE(wrong_shard, status_of(client.read(probe)));
   probe.object = local_free;
   EXPECT_CODE(no_such_object, status_of(client.read(probe)));
-  EXPECT_EQ(1u, h.server().stats().wrong_shard_replies);
+  EXPECT_EQ(1u,
+            testing::metric(h.server(), "bullet_wrong_shard_replies_total"));
 }
 
 TEST(ShardMapTest, CreateAllocatesOnlySelfOwnedSlots) {

@@ -223,8 +223,9 @@ TEST(ConcurrencyStressTest, ReadersPinWhileWriterEvictsAndCompacts) {
 
   EXPECT_EQ(0, failures.load());
   EXPECT_GT(pinned_reads.load(), 0u);
-  const auto stats = h.server().stats();
-  EXPECT_GT(stats.cache_evictions, 0u);  // the storm actually thrashed
+  const std::string stats = h.server().metrics_text();
+  // The storm actually thrashed.
+  EXPECT_GT(testing::metric(stats, "bullet_cache_evictions_total"), 0u);
   EXPECT_EQ(static_cast<std::uint64_t>(kStable), h.server().live_files());
   EXPECT_EQ(0u, h.server().check_consistency().repairs());
 
@@ -291,10 +292,12 @@ TEST(ConcurrencyStressTest, WorkerPoolServesParallelClients) {
   for (auto& thread : threads) thread.join();
   EXPECT_EQ(0, failures.load());
 
-  const auto stats = h.server().stats();
-  EXPECT_GE(stats.reads, static_cast<std::uint64_t>(kThreads * kOpsPerThread));
-  EXPECT_GT(stats.rx_batches, 0u);       // the recvmmsg loop ran
-  EXPECT_GT(stats.worker_wakeups, 0u);   // requests flowed through workers
+  const std::string stats = h.server().metrics_text();
+  EXPECT_GE(testing::metric(stats, "bullet_reads_total"),
+            static_cast<std::uint64_t>(kThreads * kOpsPerThread));
+  // The recvmmsg loop ran, and requests flowed through workers.
+  EXPECT_GT(testing::metric(stats, "bullet_rx_batches_total"), 0u);
+  EXPECT_GT(testing::metric(stats, "bullet_worker_wakeups_total"), 0u);
   EXPECT_EQ(0u, h.server().check_consistency().repairs());
   udp.value()->stop();
 }

@@ -143,7 +143,7 @@ TEST(CrashSweepTest, RebootAtEveryIncrementalCompactionStepBoundary) {
   // The sweep is only meaningful if the pass actually took many bounded
   // steps (copy slices + per-hop flips across several moved files).
   EXPECT_GE(steps, 8u);
-  EXPECT_GE(h.server().stats().compact_steps, steps);
+  EXPECT_GE(testing::metric(h.server(), "bullet_compact_steps_total"), steps);
 
   // The stepped pass left the region packed: a full-pass rerun moves 0.
   auto rerun = h.server().compact_disk();

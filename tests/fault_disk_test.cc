@@ -337,11 +337,11 @@ TEST(FaultServerTest, CacheMissReadServedViaReadRepairWithoutDemotion) {
   EXPECT_EQ(data.size(), read.value().size());
   EXPECT_EQ(crc32c(data), crc32c(read.value()));
 
-  const wire::ServerStats stats = rebooted.value()->stats();
-  EXPECT_EQ(1u, stats.read_repairs);
-  EXPECT_EQ(0u, stats.failovers);
-  EXPECT_EQ(2u, stats.healthy_replicas);
-  EXPECT_GE(stats.io_errors, 1u);
+  const std::string stats = rebooted.value()->metrics_text();
+  EXPECT_EQ(1u, testing::metric(stats, "bullet_read_repairs_total"));
+  EXPECT_EQ(0u, testing::metric(stats, "bullet_failovers_total"));
+  EXPECT_EQ(2u, testing::metric(stats, "bullet_healthy_replicas"));
+  EXPECT_GE(testing::metric(stats, "bullet_io_errors_total"), 1u);
 
   // The repair rewrote the block: replica 0 serves the whole file again.
   Bytes direct(512);

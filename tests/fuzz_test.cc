@@ -9,6 +9,8 @@
 #include <optional>
 
 #include "bullet/server.h"
+#include "bullet/wire.h"
+#include "cluster/placement.h"
 #include "dir/server.h"
 #include "logsvc/server.h"
 #include "nfsbase/server.h"
@@ -116,6 +118,158 @@ TEST(FuzzTest, TrailerReadersAgreeOnMutatedRequests) {
   // The agreement check must not be vacuous.
   EXPECT_GT(accepted, kTrials / 4);
   EXPECT_GT(accepted_with_deadline, kTrials / 10);
+}
+
+// A count the rest of a manifest cannot hold is corrupt, and must not drive
+// a reserve of up to 4G entries (a 64 GiB vector from a 12-byte body):
+// resync and the rebalancer decode this body from a peer's reply, so one
+// spoofed reply must not be able to end the process.
+TEST(FuzzTest, ManifestCountsBeyondThePayloadAreCorrupt) {
+  const auto decode = [](const Bytes& body) {
+    Reader r(body);
+    return testing::status_of(wire::ReplManifest::decode(r));
+  };
+  Writer files;
+  files.u64(1);
+  files.u32(0xFFFFFFFF);
+  EXPECT_CODE(corrupt, decode(files.data()));
+  Writer tombstones;
+  tombstones.u64(1);
+  tombstones.u32(0);
+  tombstones.u32(0xFFFFFFFF);
+  EXPECT_CODE(corrupt, decode(tombstones.data()));
+  Writer dedups;
+  dedups.u64(1);
+  dedups.u32(0);
+  dedups.u32(0);
+  dedups.u32(0xFFFFFFFF);
+  EXPECT_CODE(corrupt, decode(dedups.data()));
+  // One file more than the bytes that follow can hold.
+  Writer short_files;
+  short_files.u64(1);
+  short_files.u32(2);
+  short_files.bytes(Bytes(16 + 8, 0));
+  EXPECT_CODE(corrupt, decode(short_files.data()));
+}
+
+// One seeded mutation of a valid encoding: a bit flip, a truncation, an
+// extension, or an edit of one of its u32 count fields (little-endian, at
+// the offsets in `counts`) to a nearby or a random value.
+Bytes mutate(Rng& rng, Bytes wire, const std::vector<std::size_t>& counts) {
+  switch (rng.next_below(5)) {
+    case 0:
+      wire[rng.next_below(wire.size())] ^=
+          static_cast<std::uint8_t>(1u << rng.next_below(8));
+      break;
+    case 1:
+      wire.resize(rng.next_below(wire.size() + 1));
+      break;
+    case 2: {
+      Bytes extra(rng.next_below(40) + 1);
+      rng.fill(extra);
+      append(wire, extra);
+      break;
+    }
+    case 3: {
+      const std::size_t at = counts[rng.next_below(counts.size())];
+      std::uint32_t v = 0;
+      for (std::size_t i = 0; i < 4; ++i) {
+        v |= static_cast<std::uint32_t>(wire[at + i]) << (8 * i);
+      }
+      static constexpr std::int64_t kShifts[] = {-2, -1, 1, 2};
+      v = rng.next_below(4) == 0
+              ? static_cast<std::uint32_t>(rng.next())
+              : static_cast<std::uint32_t>(std::max<std::int64_t>(
+                    0, v + kShifts[rng.next_below(std::size(kShifts))]));
+      for (std::size_t i = 0; i < 4; ++i) {
+        wire[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+      }
+      break;
+    }
+    default:
+      break;  // as encoded
+  }
+  return wire;
+}
+
+// Decode a mutant. An accepted one must re-encode to exactly the bytes the
+// decoder consumed: anything else means the decoder read a value it cannot
+// represent, or skipped bytes. Returns whether the mutant was accepted.
+template <typename T>
+bool accepted_and_round_trips(const Bytes& wire, int trial) {
+  Reader r(wire);
+  std::optional<Result<T>> decoded;
+  EXPECT_NO_THROW(decoded.emplace(T::decode(r))) << "trial " << trial;
+  if (!decoded.has_value() || !decoded->ok()) return false;
+  Writer again;
+  decoded->value().encode(again);
+  const std::size_t consumed = wire.size() - r.remaining();
+  EXPECT_TRUE(equal(ByteSpan(wire.data(), consumed), again.data()))
+      << "trial " << trial;
+  return true;
+}
+
+TEST(FuzzTest, ManifestDecoderRoundTripsMutatedManifests) {
+  Rng rng(0x3A41);
+  int accepted = 0;
+  constexpr int kTrials = 5000;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    wire::ReplManifest m;
+    m.role = rng.next_below(3);
+    for (std::uint64_t i = rng.next_below(9); i > 0; --i) {
+      m.files.push_back({static_cast<std::uint32_t>(rng.next()), rng.next(),
+                         static_cast<std::uint32_t>(rng.next())});
+    }
+    for (std::uint64_t i = rng.next_below(6); i > 0; --i) {
+      m.tombstones.push_back(
+          {static_cast<std::uint32_t>(rng.next()), rng.next()});
+    }
+    for (std::uint64_t i = rng.next_below(6); i > 0; --i) {
+      m.dedups.push_back(
+          {rng.next(), static_cast<std::uint32_t>(rng.next()), rng.next()});
+    }
+    Writer w;
+    m.encode(w);
+    const std::size_t files_at = 8;
+    const std::size_t tombs_at = files_at + 4 + 16 * m.files.size();
+    const std::size_t dedups_at = tombs_at + 4 + 12 * m.tombstones.size();
+    const Bytes wire = mutate(rng, w.data(), {files_at, tombs_at, dedups_at});
+    if (accepted_and_round_trips<wire::ReplManifest>(wire, trial)) ++accepted;
+    if (::testing::Test::HasFailure()) return;
+  }
+  // The round-trip check must not be vacuous.
+  EXPECT_GT(accepted, kTrials / 4);
+}
+
+TEST(FuzzTest, PlacementMapDecoderRoundTripsMutatedMaps) {
+  Rng rng(0x9C1A);
+  int accepted = 0;
+  constexpr int kTrials = 5000;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    cluster::PlacementMap map;
+    map.epoch = rng.next();
+    map.vnodes = static_cast<std::uint32_t>(rng.next_range(1, 256));
+    std::vector<std::size_t> counts{12};
+    std::size_t at = 16;
+    for (std::uint64_t i = rng.next_below(7); i > 0; --i) {
+      cluster::ShardInfo shard;
+      shard.id = static_cast<std::uint32_t>(map.shards.size() + 1);
+      for (std::uint64_t j = rng.next_below(5); j > 0; --j) {
+        shard.endpoints.push_back(rng.next());
+      }
+      counts.push_back(at + 4);
+      at += 8 + 8 * shard.endpoints.size();
+      map.shards.push_back(std::move(shard));
+    }
+    Writer w;
+    map.encode(w);
+    const Bytes wire = mutate(rng, w.data(), counts);
+    if (accepted_and_round_trips<cluster::PlacementMap>(wire, trial)) {
+      ++accepted;
+    }
+    if (::testing::Test::HasFailure()) return;
+  }
+  EXPECT_GT(accepted, kTrials / 4);
 }
 
 TEST(FuzzTest, CapabilityParserSurvivesGarbage) {

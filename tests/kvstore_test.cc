@@ -100,11 +100,14 @@ TEST_F(KvStoreTest, OnlyTheTouchedBucketIsRewritten) {
     ASSERT_OK(store.value().put("key" + std::to_string(i),
                                 payload(500, i)));
   }
-  const auto creates_before = h_.server().stats().creates;
+  const auto creates_before =
+      testing::metric(h_.server(), "bullet_creates_total");
   ASSERT_OK(store.value().put("one-more", as_span("v")));
   // Exactly one new bucket version (the CAS swap is a directory write,
   // which itself creates one directory-version file).
-  EXPECT_LE(h_.server().stats().creates - creates_before, 2u);
+  EXPECT_LE(
+      testing::metric(h_.server(), "bullet_creates_total") - creates_before,
+      2u);
 }
 
 TEST_F(KvStoreTest, OpenRediscoversBucketCount) {

@@ -1,5 +1,6 @@
 // Log-linear histogram unit tests: bucket geometry, merge algebra, quantile
-// behavior, and a shadow-model property test against a sorted-vector oracle.
+// behavior, and a shadow-model property test against a sorted-vector oracle;
+// plus the exposition reader against what the emitter writes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,6 +9,7 @@
 
 #include "common/rng.h"
 #include "obs/histogram.h"
+#include "obs/metrics.h"
 
 namespace bullet::obs {
 namespace {
@@ -166,6 +168,40 @@ TEST(HistogramQuantile, TracksSortedVectorOracle) {
           << "q=" << q << " n=" << n;
     }
   }
+}
+
+TEST(MetricExposition, ValueReadsBackWhatTheEmitterWrote) {
+  LatencyHistogram latency;
+  latency.record(1000);
+  latency.record(3000);
+  MetricsRegistry registry;
+  registry.register_group([&](MetricEmitter& e) {
+    e.value("reads_total", 12);
+    e.value("reads_total_bytes", 4096);
+    e.value("max", UINT64_MAX);
+    e.histogram("latency_ns", latency.snapshot());
+  });
+  const std::string text = registry.render();
+  EXPECT_EQ(12u, metric_value(text, "reads_total"));
+  EXPECT_EQ(4096u, metric_value(text, "reads_total_bytes"));
+  EXPECT_EQ(UINT64_MAX, metric_value(text, "max"));
+  EXPECT_EQ(2u, metric_value(text, "latency_ns_count"));
+  EXPECT_EQ(4000u, metric_value(text, "latency_ns_sum"));
+  EXPECT_TRUE(metric_value(text, "latency_ns{quantile=\"0.5\"}"));
+  // A name is matched whole: neither a prefix nor a histogram's base name
+  // reads as a value.
+  EXPECT_FALSE(metric_value(text, "reads"));
+  EXPECT_FALSE(metric_value(text, "latency_ns"));
+  EXPECT_FALSE(metric_value(text, "absent_total"));
+}
+
+TEST(MetricExposition, MalformedValuesReadAsAbsent) {
+  EXPECT_FALSE(metric_value("a -1\n", "a"));
+  EXPECT_FALSE(metric_value("a 12x\n", "a"));
+  EXPECT_FALSE(metric_value("a \n", "a"));
+  EXPECT_FALSE(metric_value("a 18446744073709551616\n", "a"));  // 2^64
+  EXPECT_FALSE(metric_value("a", "a"));
+  EXPECT_EQ(7u, metric_value("b 1\na 7", "a"));  // no final newline
 }
 
 }  // namespace

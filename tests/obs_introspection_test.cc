@@ -1,23 +1,27 @@
 // The live introspection plane end to end, as an operator uses it:
 // bullet_server runs as a separate process, a workload goes over UDP via
 // bullet_client, then `bullet_tool stats|top|trace` interrogates the
-// daemon. Asserts the exposition text parses line by line, carries every
-// registered metric, and the trace dump prints complete span chains.
+// daemon. Asserts the exposition text parses line by line, names exactly
+// the metrics docs/PROTOCOL.md documents, and the trace dump prints
+// complete span chains.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <cctype>
 #include <csignal>
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
-#include <vector>
 
+#include "obs/metrics.h"
 #include "tests/test_util.h"
 
+#ifndef BULLET_PROTOCOL_DOC_PATH
+#error "BULLET_PROTOCOL_DOC_PATH must be defined by the build"
+#endif
 #ifndef BULLET_TOOL_PATH
 #error "BULLET_TOOL_PATH must be defined by the build"
 #endif
@@ -30,63 +34,6 @@
 
 namespace bullet {
 namespace {
-
-// Every metric bullet_server registers, by exposition name. The list is
-// part of the tool contract (docs/PROTOCOL.md): dashboards key on these.
-const char* const kCounterMetrics[] = {
-    "bullet_creates_total",
-    "bullet_reads_total",
-    "bullet_deletes_total",
-    "bullet_cache_hits_total",
-    "bullet_cache_misses_total",
-    "bullet_cache_evictions_total",
-    "bullet_bytes_stored_total",
-    "bullet_bytes_served_total",
-    "bullet_files_live",
-    "bullet_disk_free_bytes",
-    "bullet_disk_largest_hole_bytes",
-    "bullet_disk_holes",
-    "bullet_cache_free_bytes",
-    "bullet_healthy_replicas",
-    "bullet_bytes_copied_total",
-    "bullet_scratch_allocs_total",
-    "bullet_evict_scans_total",
-    "bullet_io_errors_total",
-    "bullet_read_repairs_total",
-    "bullet_failovers_total",
-    "bullet_bg_write_failures_total",
-    "bullet_rx_batches_total",
-    "bullet_worker_wakeups_total",
-    "bullet_lock_wait_ns_total",
-    "bullet_pinned_evict_defers_total",
-    "bullet_disk_inflight",
-    "bullet_disk_queue_depth_max",
-    "bullet_compact_steps_total",
-    "bullet_compact_lock_hold_ns_max",
-    "bullet_cache_capacity_bytes",
-    "bullet_cache_used_bytes",
-    "bullet_cache_entries",
-    "bullet_cache_compactions_total",
-    "bullet_cache_deferred_frees_total",
-    "bullet_shed_pushback_total",
-    "bullet_deadline_expired_total",
-    "bullet_rx_queue_depth_max",
-    "bullet_inflight_sheds_total",
-    "bullet_repl_role",
-    "bullet_repl_peer_healthy",
-    "bullet_repl_pushes_total",
-    "bullet_repl_push_failures_total",
-    "bullet_repl_installs_total",
-    "bullet_repl_resyncs_total",
-    "bullet_repl_resync_files_total",
-    "bullet_repl_dedup_hits_total",
-};
-
-const char* const kHistogramMetrics[] = {
-    "bullet_read_latency_ns",   "bullet_create_latency_ns",
-    "bullet_delete_latency_ns", "bullet_disk_read_latency_ns",
-    "bullet_disk_write_latency_ns",
-};
 
 std::string slurp(const std::string& path) {
   std::ifstream in(path);
@@ -103,27 +50,50 @@ std::string banner_field(const std::string& banner, const std::string& key) {
   return banner.substr(start, end - start);
 }
 
-// "name value" or "name{quantile=\"0.x\"} value", value an unsigned int.
-bool parse_exposition_line(const std::string& line, std::string* name,
-                           unsigned long long* value) {
-  std::size_t i = 0;
-  while (i < line.size() &&
-         (std::isalnum(static_cast<unsigned char>(line[i])) != 0 ||
-          line[i] == '_')) {
-    ++i;
+// The metric names the STATS2 table in docs/PROTOCOL.md documents, as they
+// appear in an exposition: a counter or gauge row by its name, a histogram
+// row by its `_count` line.
+std::set<std::string> documented_metrics(const std::string& doc) {
+  std::set<std::string> names;
+  const std::size_t section = doc.find("### STATS2: metric exposition");
+  if (section == std::string::npos) return names;
+  const std::size_t end = doc.find("\n### ", section + 1);
+  std::istringstream lines(doc.substr(section, end - section));
+  std::string line;
+  while (std::getline(lines, line)) {
+    // | `name` | kind | meaning |
+    if (line.rfind("| `", 0) != 0) continue;
+    const std::size_t close = line.find('`', 3);
+    const std::size_t kind_at = line.find("| ", close);
+    if (close == std::string::npos || kind_at == std::string::npos) continue;
+    const std::string name = line.substr(3, close - 3);
+    const bool histogram = line.compare(kind_at + 2, 9, "histogram") == 0;
+    names.insert(histogram ? name + "_count" : name);
   }
-  if (i == 0) return false;
-  *name = line.substr(0, i);
-  if (i < line.size() && line[i] == '{') {
-    const std::size_t close = line.find('}', i);
-    if (close == std::string::npos) return false;
-    i = close + 1;
+  return names;
+}
+
+// The metric names an exposition carries, on the same terms: every
+// unlabelled sample except a histogram's `_sum` and `_max` lines.
+std::set<std::string> exposed_metrics(const std::string& exposition) {
+  std::set<std::string> unlabelled;
+  std::set<std::string> histograms;
+  std::istringstream lines(exposition);
+  std::string line;
+  while (std::getline(lines, line)) {
+    const std::string key = line.substr(0, line.find(' '));
+    const std::size_t brace = key.find('{');
+    if (brace != std::string::npos) {
+      histograms.insert(key.substr(0, brace));
+    } else {
+      unlabelled.insert(key);
+    }
   }
-  if (i >= line.size() || line[i] != ' ') return false;
-  ++i;
-  char* end = nullptr;
-  *value = std::strtoull(line.c_str() + i, &end, 10);
-  return end != line.c_str() + i && *end == '\0';
+  for (const std::string& h : histograms) {
+    unlabelled.erase(h + "_sum");
+    unlabelled.erase(h + "_max");
+  }
+  return unlabelled;
 }
 
 class ObsIntrospectionTest : public ::testing::Test {
@@ -229,45 +199,26 @@ TEST_F(ObsIntrospectionTest, StatsTopAndTraceAgainstLiveDaemon) {
   std::size_t parsed = 0;
   while (std::getline(lines, line)) {
     if (line.empty()) continue;
-    std::string name;
-    unsigned long long value = 0;
-    EXPECT_TRUE(parse_exposition_line(line, &name, &value))
+    EXPECT_TRUE(obs::metric_value(stats, line.substr(0, line.find(' '))))
         << "unparseable line: " << line;
     ++parsed;
   }
-  EXPECT_GE(parsed, 53u);  // 35 counters + 5 histograms x 6 lines
-  for (const char* name : kCounterMetrics) {
-    EXPECT_NE(std::string::npos, stats.find(std::string(name) + " "))
-        << "missing metric " << name;
+  EXPECT_GE(parsed, 80u);  // 50 counters + 5 histograms x 6 lines
+  // The documented table and the live exposition name the same metrics:
+  // a counter without a row, or a row without a counter, fails here.
+  const std::set<std::string> documented =
+      documented_metrics(slurp(BULLET_PROTOCOL_DOC_PATH));
+  const std::set<std::string> exposed = exposed_metrics(stats);
+  for (const std::string& name : documented) {
+    EXPECT_EQ(1u, exposed.count(name)) << "documented, not exposed: " << name;
   }
-  for (const char* name : kHistogramMetrics) {
-    EXPECT_NE(std::string::npos,
-              stats.find(std::string(name) + "{quantile=\"0.5\"} "))
-        << "missing histogram " << name;
-    EXPECT_NE(std::string::npos,
-              stats.find(std::string(name) + "{quantile=\"0.99\"} "))
-        << "missing histogram " << name;
-    EXPECT_NE(std::string::npos, stats.find(std::string(name) + "_count "))
-        << "missing histogram " << name;
+  for (const std::string& name : exposed) {
+    EXPECT_EQ(1u, documented.count(name)) << "exposed, not documented: " << name;
   }
   // The workload is visible in the counters and the read histogram.
-  {
-    std::string name;
-    unsigned long long creates = 0, reads = 0, read_count = 0;
-    std::istringstream again(stats);
-    while (std::getline(again, line)) {
-      unsigned long long value = 0;
-      if (!parse_exposition_line(line, &name, &value)) continue;
-      if (line.rfind("bullet_creates_total ", 0) == 0) creates = value;
-      if (line.rfind("bullet_reads_total ", 0) == 0) reads = value;
-      if (line.rfind("bullet_read_latency_ns_count ", 0) == 0) {
-        read_count = value;
-      }
-    }
-    EXPECT_GE(creates, 1u);
-    EXPECT_GE(reads, 1u);
-    EXPECT_GE(read_count, 1u);
-  }
+  EXPECT_GE(testing::metric(stats, "bullet_creates_total"), 1u);
+  EXPECT_GE(testing::metric(stats, "bullet_reads_total"), 1u);
+  EXPECT_GE(testing::metric(stats, "bullet_read_latency_ns_count"), 1u);
 
   // --- bullet_tool top: rate view over a short interval. ---
   std::string top;

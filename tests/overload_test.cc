@@ -537,7 +537,8 @@ TEST(FillAdmissionTest, FillBoundShedsNewFillsButAdmitsJoins) {
   gate.open();
   EXPECT_OK(first_done.get());
   EXPECT_OK(join_done.get());
-  EXPECT_EQ(1u, server.value()->stats().inflight_sheds);
+  EXPECT_EQ(1u,
+            testing::metric(*server.value(), "bullet_inflight_sheds_total"));
 
   // With the device unblocked the shed file is readable again.
   std::promise<Status> retry;

@@ -119,8 +119,8 @@ TEST(ReplicationTest, CreatePropagatesToBackupBeforeAck) {
   ASSERT_OK(status_of(copy));
   EXPECT_EQ(data, Bytes(copy.value().begin(), copy.value().end()));
 
-  EXPECT_EQ(1u, pair.a().stats().repl_pushes);
-  EXPECT_EQ(1u, pair.b().stats().repl_installs);
+  EXPECT_EQ(1u, testing::metric(pair.a(), "bullet_repl_pushes_total"));
+  EXPECT_EQ(1u, testing::metric(pair.b(), "bullet_repl_installs_total"));
   EXPECT_EQ(1u, pair.a().live_files());
   EXPECT_EQ(1u, pair.b().live_files());
 }
@@ -183,7 +183,7 @@ TEST(ReplicationTest, LostAckCreateIsNotDoubleAppliedAcrossFailover) {
   // replicated reply record rather than re-executing.
   EXPECT_EQ(1u, pair.a().live_files());
   EXPECT_EQ(1u, pair.b().live_files());
-  EXPECT_GE(pair.b().stats().repl_dedup_hits, 1u);
+  EXPECT_GE(testing::metric(pair.b(), "bullet_repl_dedup_hits_total"), 1u);
 
   // The returned capability is the one A minted; it reads everywhere.
   auto from_a = pair.a().read(cap.value());
@@ -324,7 +324,7 @@ TEST(ReplicationTest, TombstoneWinsOverStaleCopyOnResync) {
   ASSERT_OK(client.erase(cap.value()));
   EXPECT_EQ(0u, pair.a().live_files());
   EXPECT_EQ(1u, pair.b().live_files());  // B still holds the stale copy
-  EXPECT_GE(pair.a().stats().repl_push_failures, 1u);
+  EXPECT_GE(testing::metric(pair.a(), "bullet_repl_push_failures_total"), 1u);
   EXPECT_FALSE(pair.a().repl_status().peer_healthy);
 
   pair.heal_pair();
@@ -400,8 +400,8 @@ TEST(ReplicationTest, CrashedBackupCatchesUpByPlainFileCopy) {
   for (const auto& cap : caps) {
     EXPECT_OK(status_of(pair.b().read(cap)));
   }
-  EXPECT_EQ(1u, pair.b().stats().repl_resyncs);
-  EXPECT_EQ(5u, pair.b().stats().repl_resync_files);
+  EXPECT_EQ(1u, testing::metric(pair.b(), "bullet_repl_resyncs_total"));
+  EXPECT_EQ(5u, testing::metric(pair.b(), "bullet_repl_resync_files_total"));
 }
 
 TEST(ReplicationTest, InstallRejectsNullSlotAndRandom) {
@@ -462,11 +462,11 @@ TEST(ReplicationTest, InstallsBypassTheFillBoundOnTheBackup) {
   for (const auto& info : b.list_objects()) {
     if (info.object == held.object) gate.arm(info.first_block, 8000 / 512 + 1);
   }
-  std::atomic<bool> held_ok{false};
-  std::atomic<bool> held_done{false};
+  std::atomic<bool> parked_ok{false};
+  std::atomic<bool> parked_done{false};
   b.read_pinned_async(held, [&](Result<BulletServer::PinnedFile> r) {
-    held_ok = r.ok() && r.value().data.size() == 8000;
-    held_done = true;
+    parked_ok = r.ok() && r.value().data.size() == 8000;
+    parked_done = true;
   });
   gate.wait_held(1);
   // The bound is live: a second read miss is shed.
@@ -478,21 +478,21 @@ TEST(ReplicationTest, InstallsBypassTheFillBoundOnTheBackup) {
   EXPECT_EQ(ErrorCode::retry_later, *shed);
 
   // Creates on the primary are still pushed and acked.
-  const std::uint64_t failures_before = a.server().stats().repl_push_failures;
+  const std::uint64_t failures_before =
+      testing::metric(a.server(), "bullet_repl_push_failures_total");
   for (int i = 0; i < 3; ++i) {
     ASSERT_OK(status_of(client.create(payload(3000, 10 + i), 1)));
   }
   EXPECT_TRUE(a.server().repl_status().peer_healthy);
-  EXPECT_EQ(failures_before, a.server().stats().repl_push_failures);
-  EXPECT_NE(std::string::npos,
-            a.server().metrics_text().find(
-                "bullet_repl_push_failures_total 0\n"));
-  EXPECT_EQ(3u, b.stats().repl_installs);
+  EXPECT_EQ(failures_before,
+            testing::metric(a.server(), "bullet_repl_push_failures_total"));
+  EXPECT_EQ(0u, failures_before);
+  EXPECT_EQ(3u, testing::metric(b, "bullet_repl_installs_total"));
 
   gate.release();
   b.io_queue().drain();
-  EXPECT_TRUE(held_done.load());
-  EXPECT_TRUE(held_ok.load());
+  EXPECT_TRUE(parked_done.load());
+  EXPECT_TRUE(parked_ok.load());
   a.server().detach_replica();
 }
 
@@ -639,7 +639,8 @@ TEST(ReplicationTest, UdpPairMutatingOnBothSidesStaysHealthy) {
   EXPECT_EQ(0, failures.load());
   for (BulletHarness* side : {&a, &b}) {
     EXPECT_TRUE(side->server().repl_status().peer_healthy);
-    EXPECT_EQ(0u, side->server().stats().repl_push_failures);
+    EXPECT_EQ(0u, testing::metric(side->server(),
+                                  "bullet_repl_push_failures_total"));
   }
   // Every surviving file, whichever side took it, is on both.
   EXPECT_EQ(kClients * kCreatesPerClient * 3 / 4, a.server().live_files());
@@ -685,8 +686,8 @@ TEST(ReplicationTest, RefusingPeerDoesNotWedgeThePrimary) {
   for (int i = 0; i < 3; ++i) {
     ASSERT_OK(status_of(client.create(payload(128, 40 + i), 1)));
   }
-  EXPECT_EQ(3u, a.server().stats().repl_push_failures);
-  EXPECT_EQ(0u, a.server().stats().repl_pushes);
+  EXPECT_EQ(3u, testing::metric(a.server(), "bullet_repl_push_failures_total"));
+  EXPECT_EQ(0u, testing::metric(a.server(), "bullet_repl_pushes_total"));
   EXPECT_TRUE(a.server().repl_status().peer_healthy);
   EXPECT_EQ(3u, a.server().live_files());
   EXPECT_EQ(0u, b.server().live_files());

@@ -97,59 +97,6 @@ TEST(ReplyCacheTest, FoundReplySurvivesConcurrentEviction) {
   EXPECT_EQ((*held)[63], 0x5A);
 }
 
-TEST(ReplyCacheTest, HeldEntriesSurviveEvictionChurn) {
-  // The execute->reply window: the server holds (peer, id) while a request
-  // runs, so a burst of shed-driven inserts from other clients can never
-  // evict the reply between its insert and its first transmission.
-  ReplyCache cache(/*max_entries=*/4, /*max_bytes=*/1 << 20);
-  cache.hold(1, 1);
-  cache.insert(1, 1, reply_of(10, 1));
-  for (std::uint64_t id = 1; id <= 100; ++id) {
-    cache.insert(2, id, reply_of(10, static_cast<std::uint8_t>(id)));
-  }
-  ASSERT_NE(cache.find(1, 1), nullptr) << "held entry evicted by churn";
-  EXPECT_LE(cache.entries(), 4u);
-  // Once released, the entry is ordinary FIFO fodder again.
-  cache.release(1, 1);
-  for (std::uint64_t id = 101; id <= 200; ++id) {
-    cache.insert(2, id, reply_of(10, static_cast<std::uint8_t>(id)));
-  }
-  EXPECT_EQ(cache.find(1, 1), nullptr);
-}
-
-TEST(ReplyCacheTest, AllHeldEntriesExceedTheBoundTransiently) {
-  // More in-flight requests than max_entries: every key is held, so
-  // eviction cannot make room and the bound is exceeded until releases
-  // drain — the documented trade for never re-executing a live request.
-  ReplyCache cache(/*max_entries=*/2, /*max_bytes=*/1 << 20);
-  for (std::uint64_t id = 1; id <= 3; ++id) cache.hold(1, id);
-  for (std::uint64_t id = 1; id <= 3; ++id) {
-    cache.insert(1, id, reply_of(8, static_cast<std::uint8_t>(id)));
-  }
-  EXPECT_EQ(cache.entries(), 3u);
-  for (std::uint64_t id = 1; id <= 3; ++id) {
-    EXPECT_NE(cache.find(1, id), nullptr) << id;
-  }
-  for (std::uint64_t id = 1; id <= 3; ++id) cache.release(1, id);
-  cache.insert(1, 4, reply_of(8, 4));  // next insert re-establishes bounds
-  EXPECT_LE(cache.entries(), 2u);
-  EXPECT_NE(cache.find(1, 4), nullptr);
-}
-
-TEST(ReplyCacheTest, HoldIsIdempotentAndUnknownReleaseIsHarmless) {
-  ReplyCache cache(2, 1 << 20);
-  cache.hold(1, 1);
-  cache.hold(1, 1);
-  cache.release(9, 9);  // never held
-  cache.insert(1, 1, reply_of(8, 1));
-  cache.release(1, 1);
-  for (std::uint64_t id = 2; id <= 10; ++id) {
-    cache.insert(1, id, reply_of(8, static_cast<std::uint8_t>(id)));
-  }
-  EXPECT_EQ(cache.find(1, 1), nullptr);  // a single release fully unpins
-  EXPECT_LE(cache.entries(), 2u);
-}
-
 TEST(ReplyCacheTest, ConcurrentInsertFindIsSafe) {
   ReplyCache cache(/*max_entries=*/16, /*max_bytes=*/4096);
   std::vector<std::thread> threads;

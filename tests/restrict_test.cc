@@ -83,7 +83,7 @@ TEST_F(RestrictTest, RestrictedSuperCapCannotCreate) {
       client_->restrict(h_.server().super_capability(), rights::kAdmin);
   ASSERT_TRUE(admin_super.ok());
   BulletClient admin(&transport_, admin_super.value());
-  EXPECT_TRUE(admin.stats().ok());
+  EXPECT_TRUE(admin.stats_text().ok());
 }
 
 TEST_F(RestrictTest, SurvivesReboot) {

@@ -131,9 +131,9 @@ TEST_F(BulletClientTest, ReadRangeOverWire) {
 
 TEST_F(BulletClientTest, AdminOverWire) {
   ASSERT_TRUE(client_->create(payload(100, 1), 1).ok());
-  auto stats = client_->stats();
+  auto stats = client_->stats_text();
   ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(1u, stats.value().creates);
+  EXPECT_EQ(1u, testing::metric(stats.value(), "bullet_creates_total"));
   ASSERT_OK(client_->sync());
   auto fsck = client_->fsck();
   ASSERT_TRUE(fsck.ok());

@@ -9,6 +9,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bullet/client.h"
@@ -17,6 +18,7 @@
 #include "common/rng.h"
 #include "disk/mem_disk.h"
 #include "disk/mirrored_disk.h"
+#include "obs/metrics.h"
 #include "rpc/transport.h"
 
 namespace bullet::testing {
@@ -135,7 +137,7 @@ class GatedDisk final : public BlockDevice {
   // Block until `n` reads of the armed range are being held.
   void wait_held(int n) {
     std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [&] { return held_ >= n; });
+    cv_.wait(lock, [&] { return blocked_ >= n; });
   }
   std::uint64_t range_reads() const {
     std::lock_guard<std::mutex> lock(mu_);
@@ -150,10 +152,10 @@ class GatedDisk final : public BlockDevice {
       if (blocks_ > 0 && first_block < first_ + blocks_ &&
           first_ < first_block + blocks) {
         ++range_reads_;
-        ++held_;
+        ++blocked_;
         cv_.notify_all();
         cv_.wait(lock, [&] { return open_; });
-        --held_;
+        --blocked_;
       }
     }
     return inner_->read(first_block, out);
@@ -172,7 +174,7 @@ class GatedDisk final : public BlockDevice {
   std::uint64_t blocks_ = 0;
   bool open_ = true;
   std::atomic<bool> fail_writes_{false};
-  int held_ = 0;
+  int blocked_ = 0;
   std::uint64_t range_reads_ = 0;
 };
 
@@ -200,6 +202,21 @@ inline std::string unique_temp_path(const std::string& suffix) {
   return ::testing::TempDir() + "bullet-" + test + "-" +
          std::to_string(::getpid()) + "-" +
          std::to_string(counter.fetch_add(1)) + suffix;
+}
+
+// One value from a STATS2 exposition, by its metric name. An absent name
+// fails the test instead of reading as 0, so a typo cannot pass an
+// `== 0` check.
+inline std::uint64_t metric(std::string_view text, std::string_view name) {
+  const auto value = obs::metric_value(text, name);
+  if (!value) {
+    ADD_FAILURE() << "no metric named " << name;
+    return 0;
+  }
+  return *value;
+}
+inline std::uint64_t metric(const BulletServer& server, std::string_view name) {
+  return metric(server.metrics_text(), name);
 }
 
 // Collapse a Result<T> into a Status for EXPECT_CODE.

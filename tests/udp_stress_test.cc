@@ -90,10 +90,11 @@ void run_mixed_op_storm(unsigned workers) {
   for (auto& thread : threads) thread.join();
 
   EXPECT_EQ(0, failures.load());
-  EXPECT_EQ(creates_confirmed.load(), h.server().stats().creates);
+  EXPECT_EQ(creates_confirmed.load(),
+            testing::metric(h.server(), "bullet_creates_total"));
   EXPECT_EQ(0u, h.server().check_consistency().repairs());
   if (workers > 0) {
-    EXPECT_GT(h.server().stats().worker_wakeups, 0u);
+    EXPECT_GT(testing::metric(h.server(), "bullet_worker_wakeups_total"), 0u);
   }
   udp.value()->stop();
 
@@ -250,7 +251,8 @@ void retransmit_around_a_borrowed_reply(unsigned workers) {
   const Bytes wire_request = request.encode();
   constexpr std::uint64_t kId = 41;
   testing::RawUdpEndpoint raw(udp.value()->port());
-  const std::uint64_t reads_before = server.stats().reads;
+  const std::uint64_t reads_before =
+      testing::metric(server, "bullet_reads_total");
 
   raw.send_message(kId, wire_request);
   gate.wait_held(1);
@@ -283,7 +285,7 @@ void retransmit_around_a_borrowed_reply(unsigned workers) {
   auto bytes = r.blob();
   ASSERT_TRUE(bytes.ok());
   EXPECT_TRUE(equal(data, bytes.value()));
-  EXPECT_EQ(reads_before + 1, server.stats().reads);
+  EXPECT_EQ(reads_before + 1, testing::metric(server, "bullet_reads_total"));
   EXPECT_EQ(1u, gate.range_reads());
   udp.value()->stop();
 }

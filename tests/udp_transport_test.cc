@@ -261,7 +261,7 @@ TEST_F(UdpTest, DuplicateRequestsExecuteOnce) {
   // Exactly kCreates files exist, despite retransmissions.
   EXPECT_EQ(static_cast<std::uint64_t>(kCreates), h_.server().live_files());
   EXPECT_EQ(static_cast<std::uint64_t>(kCreates),
-            h_.server().stats().creates);
+            testing::metric(h_.server(), "bullet_creates_total"));
 }
 
 TEST_F(UdpTest, TimeoutWhenServerGone) {

@@ -34,14 +34,14 @@ TEST(ZeroCopyTest, CacheHitReadCopiesNothing) {
     ASSERT_EQ(crc32c(data), crc32c(got.value()));
   }
 
-  auto stats = client.stats();
+  auto stats = client.stats_text();
   ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(8u, stats.value().cache_hits);
-  EXPECT_EQ(0u, stats.value().cache_misses);
+  EXPECT_EQ(8u, testing::metric(stats.value(), "bullet_cache_hits_total"));
+  EXPECT_EQ(0u, testing::metric(stats.value(), "bullet_cache_misses_total"));
   // Create ingests straight into the arena and read replies borrow from
   // it, so the server staged zero payload bytes end to end.
-  EXPECT_EQ(0u, stats.value().bytes_copied);
-  EXPECT_EQ(0u, stats.value().scratch_allocs);
+  EXPECT_EQ(0u, testing::metric(stats.value(), "bullet_bytes_copied_total"));
+  EXPECT_EQ(0u, testing::metric(stats.value(), "bullet_scratch_allocs_total"));
 }
 
 // The raw reply for READ carries the 4-byte length prefix as owned bytes
@@ -140,13 +140,14 @@ TEST(ZeroCopyTest, EvictionExaminesOneRnodePerVictim) {
     ASSERT_TRUE(client.read(caps[i]).ok());
   }
 
-  auto stats = client.stats();
+  auto stats = client.stats_text();
   ASSERT_TRUE(stats.ok());
-  ASSERT_GT(stats.value().cache_evictions, 0u);
-  EXPECT_EQ(stats.value().cache_evictions, stats.value().evict_scans);
+  ASSERT_GT(testing::metric(stats.value(), "bullet_cache_evictions_total"), 0u);
+  EXPECT_EQ(testing::metric(stats.value(), "bullet_cache_evictions_total"),
+            testing::metric(stats.value(), "bullet_evict_scans_total"));
   // Cache-miss reads also stay copy-free: disk blocks land directly in the
   // arena and the reply borrows them.
-  EXPECT_EQ(0u, stats.value().bytes_copied);
+  EXPECT_EQ(0u, testing::metric(stats.value(), "bullet_bytes_copied_total"));
 }
 
 // READ-RANGE replies borrow a sub-span of the cached file.

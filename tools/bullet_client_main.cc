@@ -19,6 +19,7 @@
 
 #include "bullet/client.h"
 #include "dir/client.h"
+#include "obs/metrics.h"
 #include "rpc/udp_transport.h"
 
 using namespace bullet;
@@ -125,18 +126,18 @@ int main(int argc, char** argv) {
   }
   if (command == "stats") {
     if (bullet_cap.is_null()) return usage();
-    auto stats = files.stats();
-    if (!stats.ok()) return fail(stats.error());
+    auto text = files.stats_text();
+    if (!text.ok()) return fail(text.error());
+    const auto metric = [&text](const char* name) {
+      return static_cast<unsigned long long>(
+          obs::metric_value(text.value(), name).value_or(0));
+    };
     std::printf("files: %llu  creates: %llu  reads: %llu  deletes: %llu\n"
                 "free: %llu bytes in %llu hole(s)  replicas healthy: %llu\n",
-                static_cast<unsigned long long>(stats.value().files_live),
-                static_cast<unsigned long long>(stats.value().creates),
-                static_cast<unsigned long long>(stats.value().reads),
-                static_cast<unsigned long long>(stats.value().deletes),
-                static_cast<unsigned long long>(stats.value().disk_free_bytes),
-                static_cast<unsigned long long>(stats.value().disk_holes),
-                static_cast<unsigned long long>(
-                    stats.value().healthy_replicas));
+                metric("bullet_files_live"), metric("bullet_creates_total"),
+                metric("bullet_reads_total"), metric("bullet_deletes_total"),
+                metric("bullet_disk_free_bytes"), metric("bullet_disk_holes"),
+                metric("bullet_healthy_replicas"));
     return 0;
   }
   if (command == "ls") {

@@ -44,6 +44,7 @@
 #include "dir/client.h"
 #include "disk/file_disk.h"
 #include "disk/mirrored_disk.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "rpc/failover_transport.h"
 #include "rpc/udp_transport.h"
@@ -149,6 +150,11 @@ int fail(const Error& error) {
   return 1;
 }
 
+// One named value from a STATS2 exposition; 0 when the name is absent.
+std::uint64_t metric(const std::string& text, const char* name) {
+  return obs::metric_value(text, name).value_or(0);
+}
+
 int cmd_format(const std::string& image, int argc, char** argv) {
   if (argc < 1) return usage();
   const long size_mb = std::strtol(argv[0], nullptr, 10);
@@ -199,16 +205,19 @@ int cmd_ls(const std::string& image) {
 int cmd_stat(const std::string& image) {
   auto opened = open_image(image);
   if (!opened.ok()) return fail(opened.error());
-  const auto stats = opened.value().server->stats();
+  const std::string metrics = opened.value().server->metrics_text();
   const auto& layout = opened.value().server->layout();
   std::printf("block size:        %u\n", layout.block_size());
   std::printf("inode slots:       %u\n", layout.inode_slots());
   std::printf("data region:       %" PRIu64 " blocks\n", layout.data_blocks());
-  std::printf("live files:        %" PRIu64 "\n", stats.files_live);
-  std::printf("free bytes:        %" PRIu64 "\n", stats.disk_free_bytes);
+  std::printf("live files:        %" PRIu64 "\n",
+              metric(metrics, "bullet_files_live"));
+  std::printf("free bytes:        %" PRIu64 "\n",
+              metric(metrics, "bullet_disk_free_bytes"));
   std::printf("largest hole:      %" PRIu64 " bytes\n",
-              stats.disk_largest_hole_bytes);
-  std::printf("holes:             %" PRIu64 "\n", stats.disk_holes);
+              metric(metrics, "bullet_disk_largest_hole_bytes"));
+  std::printf("holes:             %" PRIu64 "\n",
+              metric(metrics, "bullet_disk_holes"));
   return 0;
 }
 
@@ -410,7 +419,6 @@ const char* opcode_name(std::uint16_t opcode) {
     case wire::kDelete: return "DELETE";
     case wire::kCreateFrom: return "CREATE-FROM";
     case wire::kReadRange: return "READ-RANGE";
-    case wire::kStats: return "STATS";
     case wire::kSync: return "SYNC";
     case wire::kCompactDisk: return "COMPACT";
     case wire::kFsck: return "FSCK";
@@ -434,47 +442,37 @@ int cmd_live_stats(int argc, char** argv) {
   return 0;
 }
 
-// Find `name` in an exposition text; -1 when absent.
-long long metric_value(const std::string& text, const std::string& name) {
-  std::size_t pos = 0;
-  const std::string needle = name + " ";
-  while (pos < text.size()) {
-    const std::size_t eol = text.find('\n', pos);
-    const std::string line =
-        text.substr(pos, eol == std::string::npos ? eol : eol - pos);
-    if (line.rfind(needle, 0) == 0) {
-      return std::strtoll(line.c_str() + needle.size(), nullptr, 10);
-    }
-    if (eol == std::string::npos) break;
-    pos = eol + 1;
-  }
-  return -1;
-}
-
 int cmd_status(int argc, char** argv) {
   if (argc < 2) return usage();
   auto conn = connect_live(argv[0], argv[1]);
   if (!conn.ok()) return fail(conn.error());
-  auto stats = conn.value().client->stats();
-  if (!stats.ok()) return fail(stats.error());
-  const auto& s = stats.value();
-  const char* role = s.repl_role == 1   ? "primary"
-                     : s.repl_role == 2 ? "backup"
-                                        : "solo";
+  auto text = conn.value().client->stats_text();
+  if (!text.ok()) return fail(text.error());
+  const std::string& m = text.value();
+  const std::uint64_t role_id = metric(m, "bullet_repl_role");
+  const bool peer_healthy = metric(m, "bullet_repl_peer_healthy") != 0;
+  const char* role = role_id == 1   ? "primary"
+                     : role_id == 2 ? "backup"
+                                    : "solo";
   std::printf("role:              %s\n", role);
-  if (s.repl_role != 0) {
+  if (role_id != 0) {
     std::printf("peer:              %s\n",
-                s.repl_peer_healthy != 0 ? "healthy" : "down (degraded)");
+                peer_healthy ? "healthy" : "down (degraded)");
   }
-  std::printf("files live:        %" PRIu64 "\n", s.files_live);
+  std::printf("files live:        %" PRIu64 "\n",
+              metric(m, "bullet_files_live"));
   std::printf("pushes:            %" PRIu64 " ok, %" PRIu64 " failed\n",
-              s.repl_pushes, s.repl_push_failures);
-  std::printf("peer ops applied:  %" PRIu64 "\n", s.repl_installs);
+              metric(m, "bullet_repl_pushes_total"),
+              metric(m, "bullet_repl_push_failures_total"));
+  std::printf("peer ops applied:  %" PRIu64 "\n",
+              metric(m, "bullet_repl_installs_total"));
   std::printf("resyncs:           %" PRIu64 " (%" PRIu64 " files copied)\n",
-              s.repl_resyncs, s.repl_resync_files);
-  std::printf("dedup hits:        %" PRIu64 "\n", s.repl_dedup_hits);
+              metric(m, "bullet_repl_resyncs_total"),
+              metric(m, "bullet_repl_resync_files_total"));
+  std::printf("dedup hits:        %" PRIu64 "\n",
+              metric(m, "bullet_repl_dedup_hits_total"));
   // A degraded pair is a finding, like fsck's non-zero repair count.
-  return s.repl_role != 0 && s.repl_peer_healthy == 0 ? 1 : 0;
+  return role_id != 0 && !peer_healthy ? 1 : 0;
 }
 
 int cmd_resync(int argc, char** argv) {
@@ -505,9 +503,11 @@ int cmd_top(int argc, char** argv) {
   if (!after.ok()) return fail(after.error());
 
   auto rate = [&](const char* name) {
-    const long long a = metric_value(before.value(), name);
-    const long long b = metric_value(after.value(), name);
-    return a < 0 || b < 0 ? 0.0 : (b - a) / seconds;
+    const auto a = obs::metric_value(before.value(), name);
+    const auto b = obs::metric_value(after.value(), name);
+    return !a || !b ? 0.0
+                    : (static_cast<double>(*b) - static_cast<double>(*a)) /
+                          seconds;
   };
   std::printf("interval: %.1fs\n", seconds);
   std::printf("reads/s:        %10.1f\n", rate("bullet_reads_total"));
@@ -523,10 +523,10 @@ int cmd_top(int argc, char** argv) {
               format_ns(static_cast<std::uint64_t>(
                             rate("bullet_lock_wait_ns_total")))
                   .c_str());
-  std::printf("files live:     %10lld\n",
-              metric_value(after.value(), "bullet_files_live"));
-  std::printf("cache free:     %10lld\n",
-              metric_value(after.value(), "bullet_cache_free_bytes"));
+  std::printf("files live:     %10" PRIu64 "\n",
+              metric(after.value(), "bullet_files_live"));
+  std::printf("cache free:     %10" PRIu64 "\n",
+              metric(after.value(), "bullet_cache_free_bytes"));
   return 0;
 }
 
