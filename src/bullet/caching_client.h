@@ -72,9 +72,8 @@ class CachingBulletClient {
     inner_.set_deadline_budget_ms(ms);
   }
 
-  // Stamp pass-through mutations with message ids so a replicated server
-  // applies them exactly once across failover. See
-  // BulletClient::enable_message_ids.
+  // Draw pass-through mutations' message ids from this client's own
+  // sequence. See BulletClient::enable_message_ids.
   void enable_message_ids(std::uint64_t seed) noexcept {
     inner_.enable_message_ids(seed);
   }

@@ -33,7 +33,6 @@ Result<Bytes> BulletClient::call(const Capability& target,
         // the same Request on retransmit and failover, so every copy of
         // this operation carries the same id.
         request.message_id = next_message_id_;
-        last_message_id_ = next_message_id_;
         if (++next_message_id_ == 0) ++next_message_id_;
         break;
     }

@@ -83,18 +83,18 @@ class BulletClient {
   }
 
   // Stamp every subsequent *mutating* request (create, create-from,
-  // delete) with a fresh nonzero message id drawn from a counter starting
-  // at `seed | 1`. The id is stable across retransmits and across replica
-  // failover — a FailoverTransport re-sends the same Request object — so a
-  // replicated server applies the operation exactly once no matter which
-  // replica finally answers. Distinct clients must use disjoint seed
-  // ranges (e.g. client index in the high bits). The id rides the same
-  // request trailer as the trace id and deadline.
+  // delete) with a message id drawn from this client's own counter,
+  // starting at `seed | 1`, instead of leaving the id to the transport.
+  // Without it, UdpTransport and FailoverTransport give each id-less
+  // request a fresh id (rpc/message.h), which already makes a retransmit
+  // or a failover retry execute once. An explicit sequence is for a
+  // caller that needs the ids to be reproducible, or shared by several
+  // clients and transports (each with a disjoint seed range, e.g. the
+  // client index in the high bits); the in-process transports stamp
+  // nothing, so it is also the only way to give their requests ids.
   void enable_message_ids(std::uint64_t seed) noexcept {
     next_message_id_ = seed | 1;
   }
-  void disable_message_ids() noexcept { next_message_id_ = 0; }
-  std::uint64_t last_message_id() const noexcept { return last_message_id_; }
 
   const Capability& server_capability() const noexcept { return server_; }
 
@@ -106,8 +106,7 @@ class BulletClient {
   Capability server_;
   std::uint64_t trace_id_ = 0;
   std::uint64_t deadline_budget_us_ = 0;
-  std::uint64_t next_message_id_ = 0;  // 0 = message ids disabled
-  std::uint64_t last_message_id_ = 0;
+  std::uint64_t next_message_id_ = 0;  // 0 = the transport stamps ids
 };
 
 }  // namespace bullet

@@ -501,8 +501,12 @@ class BulletServer final : public rpc::Service {
   // never held across a peer RPC — a pair of servers propagating to each
   // other from worker threads would deadlock otherwise.
 
-  // The recorded reply of a completed mutating operation, keyed by the
-  // client's message_id (rpc/message.h): the cross-replica ReplyCache.
+  // The recorded reply of a completed CREATE, CREATE-FROM or DELETE, keyed
+  // by the request's message_id (rpc/message.h) and replicated to the
+  // peer: Bullet's one at-most-once layer. It is written before the reply
+  // is sent, so a retransmit or failover retry that arrives after the
+  // reply is answered from it. Every other opcode answers a second run
+  // correctly without one (DESIGN.md §11 has the table).
   struct DedupEntry {
     std::uint16_t opcode = 0;
     Bytes body;                  // the ok reply's body, replayed verbatim

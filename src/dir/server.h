@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
 #include <string>
@@ -120,6 +121,9 @@ class DirServer final : public rpc::Service {
   // delete the superseded version.
   Status persist(DirObject& dir);
 
+  // handle() without the message-id record.
+  rpc::Reply dispatch(const rpc::Request& request);
+
   BulletClient storage_;
   DirConfig config_;
   Port public_port_;
@@ -129,6 +133,15 @@ class DirServer final : public rpc::Service {
 
   std::map<std::uint32_t, DirObject> objects_;
   std::uint32_t next_object_ = 1;
+
+  // The ok reply body of each recent mutation that carried a message id
+  // (rpc/message.h), oldest evicted first. UdpServer keeps no reply, so a
+  // retransmit that arrives after the reply reaches handle() again; this
+  // record answers it instead of a second CREATE-DIR, or an ENTER that
+  // would now fail with already_exists.
+  static constexpr std::size_t kRecordedReplies = 1024;
+  std::map<std::uint64_t, Bytes> replies_;
+  std::deque<std::uint64_t> reply_order_;
 
   // Cluster placement map: version, contents, and the Bullet file holding
   // the persisted copy (kept current by install_map; carried through

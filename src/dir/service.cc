@@ -15,9 +15,50 @@ rpc::Reply cap_reply(const Result<Capability>& cap) {
   return rpc::Reply::success(std::move(w).take());
 }
 
+// Opcodes whose second run would answer differently from the first: it
+// would make another directory or checkpoint file, or fail because the
+// first run already changed the entry, the directory or the map epoch.
+// LOOKUP, LIST, RESTRICT, FETCH-MAP and EPOCH answer the same again.
+bool recorded(std::uint16_t opcode) {
+  switch (opcode) {
+    case kCreateDir:
+    case kEnter:
+    case kReplace:
+    case kCasReplace:
+    case kRemove:
+    case kDeleteDir:
+    case kCheckpoint:
+    case kInstallMap:
+      return true;
+    default:
+      return false;
+  }
+}
+
 }  // namespace
 
 rpc::Reply DirServer::handle(const rpc::Request& request) {
+  if (request.message_id == 0 || !recorded(request.opcode)) {
+    return dispatch(request);
+  }
+  if (const auto it = replies_.find(request.message_id);
+      it != replies_.end()) {
+    return rpc::Reply::success(it->second);
+  }
+  rpc::Reply reply = dispatch(request);
+  // A failed mutation changed nothing, so only a success needs recording.
+  if (reply.status == ErrorCode::ok) {
+    replies_.emplace(request.message_id, reply.body);
+    reply_order_.push_back(request.message_id);
+    if (reply_order_.size() > kRecordedReplies) {
+      replies_.erase(reply_order_.front());
+      reply_order_.pop_front();
+    }
+  }
+  return reply;
+}
+
+rpc::Reply DirServer::dispatch(const rpc::Request& request) {
   Reader body(request.body);
   switch (request.opcode) {
     case kCreateDir: {

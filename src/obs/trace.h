@@ -49,7 +49,8 @@ enum class Stage : std::uint8_t {
   kCache = 5,       // cache probe/fill (hit: ~0; miss: includes disk)
   kDiskRead = 6,    // block-device read
   kDiskWrite = 7,   // block-device write
-  kEncode = 8,      // sent reply copied into the retransmit cache
+  kEncode = 8,      // retired, reserved: timed the copy of each sent reply
+                    // into the UDP reply cache, which is gone
   kTx = 9,          // reply gathered in place → sendmmsg complete
   kDiskQueue = 10,  // async disk op queued: submit → execution start
 };

@@ -20,6 +20,13 @@ std::uint64_t FailoverTransport::pushback_failovers() const {
 }
 
 Result<Reply> FailoverTransport::call(const Request& request) {
+  if (request.message_id == 0) {
+    // Every attempt, on every replica, must carry the same id, or a create
+    // whose ack was lost on one replica runs again on the next.
+    Request stamped = request;
+    stamped.message_id = fresh_message_id();
+    return call(stamped);
+  }
   std::size_t cur;
   {
     std::lock_guard lock(mu_);

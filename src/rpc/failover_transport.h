@@ -8,7 +8,9 @@
 // and retries the SAME Request — same body, same trace id, and crucially
 // the same message_id, so a replication-aware pair answers the retry from
 // its replicated reply record instead of re-executing it: acked creates
-// are never double-applied (see rpc/message.h).
+// are never double-applied (see rpc/message.h). A request that arrives
+// without a message id is copied once and given a fresh one before its
+// first attempt.
 //
 // Stickiness means a successful failover moves all subsequent traffic to
 // the surviving replica until it too fails; there is no fail-back probing

@@ -1,16 +1,31 @@
 #include "rpc/message.h"
 
+#include <atomic>
+#include <random>
+
 namespace bullet::rpc {
 
-Bytes Request::encode() const {
-  Writer w(wire_size());
+std::uint64_t fresh_message_id() noexcept {
+  static std::atomic<std::uint64_t> next{[] {
+    std::random_device seed;
+    return (std::uint64_t{seed()} << 32) ^ seed();
+  }()};
+  std::uint64_t id = 0;
+  while (id == 0) id = next.fetch_add(1, std::memory_order_relaxed);
+  return id;
+}
+
+Bytes Request::encode(std::uint64_t default_message_id) const {
+  const std::uint64_t id = message_id != 0 ? message_id : default_message_id;
+  const bool trailer = trace_id != 0 || deadline_us != 0 || id != 0;
+  Writer w(kHeaderSize + body.size() + (trailer ? kTrailerSize : 0));
   target.encode(w);
   w.u16(opcode);
   w.blob(body);
-  if (has_trailer()) {
+  if (trailer) {
     w.u64(trace_id);
     w.u64(deadline_us);
-    w.u64(message_id);
+    w.u64(id);
   }
   return std::move(w).take();
 }

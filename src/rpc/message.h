@@ -40,13 +40,16 @@ struct Request {
   // expiry from arrival.
   std::uint64_t deadline_us = 0;
 
-  // Client-chosen operation id (0 = none), stable across retransmits AND
-  // across replica failover — unlike the UDP fragment header's message id,
-  // which is per-transport. A replication-aware server remembers the reply
-  // of each mutating operation keyed by this id and replicates the binding
-  // to its peer, so a create retried against the other replica is answered
-  // from the recorded reply instead of re-executed: the service-level,
-  // cross-replica analog of the UDP ReplyCache.
+  // Operation id (0 = none), stable across retransmits AND across replica
+  // failover — unlike the UDP fragment header's message id, which numbers
+  // one transport's calls. A service whose second run of an operation
+  // would answer differently (a Bullet create or delete, a directory
+  // mutation) records the reply under this id and answers a repeat from
+  // the record; the Bullet server also replicates its records to its peer,
+  // so a create retried against the other replica is not executed twice.
+  // This is the system's one at-most-once layer. UdpTransport and
+  // FailoverTransport give an id-less request a fresh_message_id(); the
+  // in-process transports send what the caller built.
   std::uint64_t message_id = 0;
 
   // Bytes this request occupies on the wire (for the network model).
@@ -54,7 +57,9 @@ struct Request {
     return kHeaderSize + body.size() + (has_trailer() ? kTrailerSize : 0);
   }
 
-  Bytes encode() const;
+  // `default_message_id` stands in for a zero message_id, so a transport
+  // stamps an id-less request in its one encode, without copying it.
+  Bytes encode(std::uint64_t default_message_id = 0) const;
   static Result<Request> decode(ByteSpan wire);
 
   // The deadline of an encoded request in O(1), without decoding it: 0
@@ -76,6 +81,11 @@ struct Request {
   // Offset of the trailer in `wire`, or 0 when it carries none.
   static std::size_t trailer_offset(ByteSpan wire) noexcept;
 };
+
+// A fresh nonzero message id. One process-wide counter serves every
+// caller; it starts at a value drawn from std::random_device, so two
+// processes' sequences do not meet in a server's records. Thread-safe.
+std::uint64_t fresh_message_id() noexcept;
 
 // A reply's payload is the concatenation of `body` (owned, usually a small
 // header the handler serialized) and `segments` (borrowed views, usually
@@ -115,9 +125,9 @@ struct Reply {
   // so a UDP server sends the three in place instead of calling encode().
   std::array<std::uint8_t, kHeaderSize> encode_header() const;
 
-  // Gather header + body + segments into one wire buffer (at a real network
-  // boundary only, for the retransmit cache; in-process transports never
-  // call this).
+  // Gather header + body + segments into one wire buffer (a small reply
+  // built whole, such as the UDP server's pushback; in-process transports
+  // never call this).
   Bytes encode() const;
   static Result<Reply> decode(ByteSpan wire);
   // Same checks, but the caller's buffer becomes `body` (its header

@@ -39,6 +39,14 @@ struct IoCounters {
 // handle_async() or later from another thread (a disk-completion thread).
 using Responder = std::function<void(Reply&&)>;
 
+// At-most-once is each service's own duty: UdpServer drops a retransmit
+// only while its request is in flight, and executes one that arrives after
+// the reply. A service reachable over UDP whose second run of an operation
+// would answer differently records that reply under the request's
+// message_id (rpc/message.h) and answers a repeat from the record — the
+// Bullet server for CREATE, CREATE-FROM and DELETE, the directory server
+// for its mutations. The log and nfsbase services are only ever served
+// in-process, where no transport retransmits, so they keep no record.
 class Service {
  public:
   virtual ~Service() = default;
@@ -73,7 +81,7 @@ class Transport {
   // including any borrowed payload segments (which reference server memory
   // and stay valid until the next operation on that service) — callers
   // must consume or materialize the payload before calling again. Only a
-  // transport with a real wire boundary gathers segments, via encode().
+  // transport with a real wire boundary gathers the segments, as it sends.
   virtual Result<Reply> call(const Request& request) = 0;
 };
 

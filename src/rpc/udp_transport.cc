@@ -59,8 +59,8 @@ FragmentHeader fragment_header(std::uint64_t message_id, std::uint16_t index,
 // sendmmsg. Each datagram is gathered from its header (stack) and one
 // iovec per slice of the parts it covers, so nothing is copied into a wire
 // buffer: a READ reply goes out straight from its 6-byte header, its body
-// and the pinned cache span. Requests, replies, pushbacks and retransmit
-// answers all leave through here.
+// and the pinned cache span. Requests, replies and pushbacks all leave
+// through here.
 Status send_message_batched(int fd, const sockaddr_in& to,
                             std::uint64_t message_id,
                             std::span<const ByteSpan> parts) {
@@ -324,68 +324,11 @@ Bytes Reassembler::take() {
   return out;
 }
 
-// --- reply cache -------------------------------------------------------------
-
-void ReplyCache::set_bounds(std::size_t max_entries, std::uint64_t max_bytes) {
-  std::lock_guard<std::mutex> lock(mu_);
-  max_entries_ = max_entries;
-  max_bytes_ = max_bytes;
-}
-
-void ReplyCache::insert(std::uint64_t peer, std::uint64_t message_id,
-                        std::shared_ptr<const Bytes> reply) {
-  // Evicted payloads are collected here and destroyed after the lock is
-  // released (a large Bytes free has no business inside the critical
-  // section, and a concurrent sender may still hold its own reference).
-  std::vector<std::shared_ptr<const Bytes>> dropped;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const Key key{peer, message_id};
-    const auto [it, inserted] = entries_.emplace(key, std::move(reply));
-    if (!inserted) return;  // already cached
-    bytes_ += it->second->size();
-    fifo_.push_back(key);
-    while (fifo_.size() > 1 &&
-           (fifo_.size() > max_entries_ || bytes_ > max_bytes_)) {
-      const Key victim = fifo_.front();
-      fifo_.pop_front();
-      const auto vit = entries_.find(victim);
-      bytes_ -= vit->second->size();
-      dropped.push_back(std::move(vit->second));
-      entries_.erase(vit);
-      ++evictions_;
-    }
-  }
-}
-
-std::shared_ptr<const Bytes> ReplyCache::find(std::uint64_t peer,
-                                              std::uint64_t message_id) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = entries_.find(Key{peer, message_id});
-  return it == entries_.end() ? nullptr : it->second;
-}
-
-std::size_t ReplyCache::entries() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return entries_.size();
-}
-
-std::uint64_t ReplyCache::bytes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return bytes_;
-}
-
-std::uint64_t ReplyCache::evictions() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return evictions_;
-}
-
 // --- server ------------------------------------------------------------------
 
 struct UdpServer::Impl : std::enable_shared_from_this<UdpServer::Impl> {
   int fd = -1;
   UdpServerOptions options;
-  ReplyCache replies{128, 8ull << 20};
   IoCounters io;
 
   std::mutex services_mu;
@@ -413,9 +356,9 @@ struct UdpServer::Impl : std::enable_shared_from_this<UdpServer::Impl> {
   // queue; at most one worker drains a given client at a time, so requests
   // from one client execute in arrival order while different clients
   // proceed in parallel. `pending_ids` suppresses re-execution of a
-  // retransmitted request that is already queued or executing (the reply
-  // cache covers the already-answered case). Client entries are never
-  // erased — one small record per distinct endpoint.
+  // retransmitted request that is still queued or executing; once its reply
+  // is sent a retransmit executes again (see the header). Client entries
+  // are never erased — one small record per distinct endpoint.
   struct WorkItem {
     sockaddr_in from{};
     std::uint64_t message_id = 0;
@@ -442,12 +385,10 @@ struct UdpServer::Impl : std::enable_shared_from_this<UdpServer::Impl> {
   bool shutdown_workers = false;
   std::vector<std::thread> workers;
 
-  // Inline-mode (workers == 0) in-flight marks. When execution was
-  // synchronous a request was answered before handle_datagram returned, so
-  // the reply-cache probe alone sufficed for dedup; a parked continuation
-  // opens a window between dispatch and reply where a retransmit would
-  // re-execute. Keyed (peer, message id); inserted before dispatch on the
-  // RX thread, erased by finish() after the reply is cached.
+  // Inline-mode (workers == 0) in-flight marks: a parked continuation opens
+  // a window between dispatch and reply in which a retransmit would
+  // otherwise execute a second time. Keyed (peer, message id); inserted
+  // before dispatch on the RX thread, erased by finish() after the send.
   std::mutex inline_mu;
   std::set<std::pair<std::uint64_t, std::uint64_t>> inline_inflight;
 
@@ -483,7 +424,7 @@ struct UdpServer::Impl : std::enable_shared_from_this<UdpServer::Impl> {
   };
 
   // Decode and dispatch. Runs on the RX thread (inline mode) or on a
-  // worker; the reply path — encode, cache, send — lives in finish(),
+  // worker; the reply path — gather and send — lives in finish(),
   // which the service's responder invokes either synchronously inside
   // handle_async() or later from a disk-completion thread. The returned
   // context lets the caller detect a park (completed still false).
@@ -547,18 +488,15 @@ struct UdpServer::Impl : std::enable_shared_from_this<UdpServer::Impl> {
     return ctx;
   }
 
-  // Send, cache, and release the request's dedup/ordering marks. Runs on
+  // Send, then release the request's in-flight/ordering marks. Runs on
   // the dispatching thread (synchronous services) or on whatever thread
   // completes a parked request's disk I/O. The Reply may borrow pinned
   // cache bytes; the pin lives until `reply` is destroyed, after the send
-  // gathered them and encode() copied them for the cache.
+  // gathered them.
   void finish(const std::shared_ptr<RespondCtx>& ctx, Reply&& reply) {
-    // A retry_later reply is a shed, not an answer: never cache it (the
-    // retransmit should be re-admitted once load clears — nothing was
-    // executed, so at-most-once is not at stake), and make sure it carries
-    // a retry-after for the client to sleep on.
-    const bool shed = reply.status == ErrorCode::retry_later;
-    if (shed) {
+    // A retry_later reply is a shed, not an answer: make sure it carries a
+    // retry-after for the client to sleep on.
+    if (reply.status == ErrorCode::retry_later) {
       if (reply.body.empty() && reply.segments.empty()) {
         Writer w(4);
         w.u32(std::max<std::uint32_t>(1, options.shed_retry_ms));
@@ -573,15 +511,11 @@ struct UdpServer::Impl : std::enable_shared_from_this<UdpServer::Impl> {
       parts.insert(parts.end(), reply.segments.begin(), reply.segments.end());
       (void)send_message_batched(fd, ctx->from, ctx->message_id, parts);
     }
-    // Cache after sending but before the in-flight marks clear: a
-    // retransmit arriving at any instant finds either the in-flight mark
-    // or the cached reply — never a gap that re-executes. The copy is
-    // made once the reply is on its way, off the client's path.
-    if (!shed) {
-      obs::ScopedSpan span(obs::Stage::kEncode);
-      replies.insert(ctx->peer, ctx->message_id,
-                     std::make_shared<const Bytes>(reply.encode()));
-    }
+    // The marks clear only after the send, so a retransmit that arrives
+    // before the reply left is dropped. One that arrives later executes
+    // again; a service whose second run would answer differently records
+    // the reply under the request's message id before responding.
+    //
     // Publish the trace (destructor clears this thread's TLS slot if the
     // trace is attached here — sync dispatch or a resumed continuation).
     ctx->trace.reset();
@@ -600,7 +534,7 @@ struct UdpServer::Impl : std::enable_shared_from_this<UdpServer::Impl> {
   }
 
   // Release a client whose head-of-queue request parked: drop the request
-  // from the dedup set (its reply is cached now) and hand the client back
+  // from the in-flight set (its reply is sent) and hand the client back
   // to the pool if more work queued up behind the parked request.
   void unpark(const RespondCtx& ctx) {
     bool notify = false;
@@ -638,9 +572,9 @@ struct UdpServer::Impl : std::enable_shared_from_this<UdpServer::Impl> {
 
   // Admission + enqueue; RX thread only. A request over the total or
   // per-client queue bound is shed in O(1) with a BS_PUSHBACK reply.
-  // Retransmits of queued/executing or already-answered requests never get
-  // here (handle_datagram's dedup probes run first), so a shed can only
-  // hit a request the server holds no state for.
+  // Retransmits of queued or executing requests never get here
+  // (handle_datagram's in-flight probe runs first), so a shed can only hit
+  // a request the server holds no state for.
   void enqueue(const sockaddr_in& from, std::uint64_t peer,
                std::uint64_t message_id, Bytes wire,
                std::uint64_t rx_first_ns, std::uint64_t rx_done_ns,
@@ -705,8 +639,8 @@ struct UdpServer::Impl : std::enable_shared_from_this<UdpServer::Impl> {
         // Deadline check at dequeue: a request whose budget ran out while
         // it sat queued is dead work — its client has already timed out or
         // moved on, so drop it in O(1) instead of dispatching. No reply is
-        // sent and nothing is cached: a retransmit (with a fresh remaining
-        // budget) is admitted as a new attempt.
+        // sent: a retransmit (with a fresh remaining budget) is admitted as
+        // a new attempt.
         if (item.deadline_ns != 0 && obs::now_ns() > item.deadline_ns) {
           io.deadline_expired.fetch_add(1, std::memory_order_relaxed);
           client.pending_ids.erase(item.message_id);
@@ -749,13 +683,6 @@ struct UdpServer::Impl : std::enable_shared_from_this<UdpServer::Impl> {
     const std::uint64_t peer = peer_key(from);
     const std::uint64_t message_id = fragment.value().message_id;
 
-    // Retransmit of something we already answered?
-    if (const auto hit = replies.find(peer, message_id); hit != nullptr) {
-      duplicates.fetch_add(1);
-      (void)send_message_batched(fd, from, message_id,
-                                 ByteSpan(hit->data(), hit->size()));
-      return;
-    }
     // Retransmit of something queued or executing (including parked on
     // async I/O)? The reply is on its way; answering again would
     // double-execute.
@@ -835,8 +762,6 @@ UdpServer::UdpServer(std::shared_ptr<Impl> impl) : impl_(std::move(impl)) {}
 Result<std::unique_ptr<UdpServer>> UdpServer::start(UdpServerOptions options) {
   auto impl = std::make_shared<Impl>();
   impl->options = options;
-  impl->replies.set_bounds(std::max<std::size_t>(1, options.reply_cache_entries),
-                           std::max<std::uint64_t>(1, options.reply_cache_bytes));
   impl->loss_rng.reseed(options.loss_seed);
   BULLET_ASSIGN_OR_RETURN(impl->fd,
                           make_socket(options.udp_port, /*timeout_ms=*/50));
@@ -970,7 +895,8 @@ int backoff_timeout_ms(const UdpClientOptions& options, int attempt) {
 Result<Reply> UdpTransport::call(const Request& request) {
   std::lock_guard<std::mutex> call_lock(impl_->call_mu);
   const std::uint64_t message_id = impl_->next_message_id++;
-  Bytes wire = request.encode();
+  Bytes wire =
+      request.encode(request.message_id == 0 ? fresh_message_id() : 0);
   // Kept across attempts: a retransmitted reply fills in what an earlier
   // copy lost.
   Reassembler reply_wire;
@@ -1016,8 +942,8 @@ Result<Reply> UdpTransport::call(const Request& request) {
     // advised when to come back. Sleep that long (overriding the backoff
     // schedule — the server knows its queue better than our timer does)
     // and resend; the same message id is reused, which is safe because
-    // nothing was executed or cached, and keeps the dedup guarantees if a
-    // stale earlier copy is still in flight.
+    // nothing was executed, and keeps the in-flight suppression if a stale
+    // earlier copy is still queued.
     pushbacks_.fetch_add(1, std::memory_order_relaxed);
     std::int64_t sleep_ms =
         pushback_retry_after_ms(reply, backoff_timeout_ms(impl_->options,

@@ -9,9 +9,13 @@
 //    and reassembled on receipt with one copy of each payload byte;
 //  * the client retransmits the whole request on timeout (the reply is the
 //    acknowledgement, as in Amoeba RPC);
-//  * the server keeps a bounded cache of recently sent replies keyed by
-//    (client, message id), so a retransmitted request is answered from the
-//    cache instead of re-executing — at-most-once execution;
+//  * the server marks each request in flight, keyed by (client, fragment
+//    message id), from arrival until its reply is sent, and drops a
+//    retransmit that finds the mark. It keeps no reply afterwards: a later
+//    retransmit executes again. That is harmless for a READ or SIZE of an
+//    immutable file, and a mutation carries a request message id (the
+//    client stamps one, see UdpTransport::call) that its service answers
+//    from its own record — the one at-most-once layer (DESIGN.md §11);
 //  * optional deterministic packet-loss injection for tests.
 //
 // Threading: one receive thread drains the socket in recvmmsg batches and
@@ -20,13 +24,12 @@
 // services are called from exactly one thread. With `workers > 0` complete
 // requests are handed to a pool of dispatch threads through per-client
 // ordered queues: requests from one client endpoint execute one at a time
-// in arrival order (preserving the retransmit/dedup semantics), while
-// requests from different clients execute concurrently — services must be
-// thread-safe in this mode. Every message — request, reply, pushback,
-// retransmit answer — is sent by one sendmmsg gather: each datagram is its
-// fragment header plus one iovec per slice of the message's parts, so a
-// READ reply leaves straight from the pinned cache span, never copied into
-// a wire buffer first.
+// in arrival order (preserving the in-flight suppression), while requests
+// from different clients execute concurrently — services must be
+// thread-safe in this mode. Every message — request, reply, pushback — is
+// sent by one sendmmsg gather: each datagram is its fragment header plus
+// one iovec per slice of the message's parts, so a READ reply leaves
+// straight from the pinned cache span and is never copied.
 //
 // Continuations: requests are dispatched through Service::handle_async().
 // A service may defer its reply (e.g. a cache-miss read that submits disk
@@ -34,16 +37,14 @@
 // *parks* the client — it returns to the pool and serves other clients,
 // while the parked client's queue stays owned so no later request from the
 // same endpoint can overtake the deferred reply. When the reply arrives it
-// is sent from the completing thread, then encoded into the retransmit
-// cache, and only then is the client released back to the ready list —
-// per-client ordering and at-most-once execution hold exactly as in the
-// synchronous path.
+// is sent from the completing thread, and only then is its in-flight mark
+// cleared and the client released back to the ready list — per-client
+// ordering and retransmit suppression hold exactly as in the synchronous
+// path.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <list>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -119,45 +120,6 @@ class Reassembler {
   Bytes buffer_;
 };
 
-// The server's retransmit-suppression cache: (peer, message id) -> encoded
-// reply, FIFO-evicted when over the entry bound OR the byte bound. The byte
-// bound matters because replies can be large (a whole-file read): without
-// it, 128 cached 1 MB replies would quietly hold 128 MB. The newest entry
-// is always kept, even if it alone exceeds the byte bound — the cache must
-// be able to answer at least the retransmit of the last request. Internally
-// synchronized; entries are shared_ptrs so a found reply can be sent while
-// eviction concurrently drops it. The server inserts a reply only after its
-// first transmission, so eviction can never cost a reply its first send;
-// plain FIFO order is all the protection an executing request needs.
-class ReplyCache {
- public:
-  ReplyCache(std::size_t max_entries, std::uint64_t max_bytes)
-      : max_entries_(max_entries), max_bytes_(max_bytes) {}
-
-  // Re-bound the cache (setup time; takes effect on the next insert).
-  void set_bounds(std::size_t max_entries, std::uint64_t max_bytes);
-
-  void insert(std::uint64_t peer, std::uint64_t message_id,
-              std::shared_ptr<const Bytes> reply);
-  std::shared_ptr<const Bytes> find(std::uint64_t peer,
-                                    std::uint64_t message_id) const;
-
-  std::size_t entries() const;
-  std::uint64_t bytes() const;
-  std::uint64_t evictions() const;
-
- private:
-  using Key = std::pair<std::uint64_t, std::uint64_t>;
-
-  mutable std::mutex mu_;
-  std::size_t max_entries_;
-  std::uint64_t max_bytes_;
-  std::uint64_t bytes_ = 0;
-  std::uint64_t evictions_ = 0;
-  std::map<Key, std::shared_ptr<const Bytes>> entries_;
-  std::list<Key> fifo_;  // insertion order; front = oldest
-};
-
 struct UdpServerOptions {
   // Port 0 lets the kernel pick; the bound port is reported by port().
   std::uint16_t udp_port = 0;
@@ -165,9 +127,6 @@ struct UdpServerOptions {
   // under `loss_seed`. Test hook for exercising retransmission.
   std::uint32_t drop_one_in = 0;
   std::uint64_t loss_seed = 1;
-  // Replies remembered for retransmit suppression, bounded both ways.
-  std::size_t reply_cache_entries = 128;
-  std::uint64_t reply_cache_bytes = 8ull << 20;
   // Dispatch threads. 0 = execute requests inline on the receive thread
   // (single-threaded services); N > 0 = concurrent execution, services
   // must be thread-safe.
@@ -205,8 +164,8 @@ class UdpServer {
 
   // Datagrams deliberately dropped by the loss injector.
   std::uint64_t dropped() const noexcept;
-  // Requests whose re-execution was suppressed (answered from the reply
-  // cache, or already queued/executing when the retransmit arrived).
+  // Retransmits dropped because their request was still queued, executing
+  // or parked on the disk when they arrived.
   std::uint64_t duplicates_suppressed() const noexcept;
 
   // Batch/wakeup/shed tallies; attach to a BulletServer to surface them in
@@ -256,6 +215,11 @@ class UdpTransport final : public Transport {
   UdpTransport(const UdpTransport&) = delete;
   UdpTransport& operator=(const UdpTransport&) = delete;
 
+  // A request without a message id is sent with a fresh one
+  // (rpc::fresh_message_id), stamped in the one encode() every attempt
+  // resends, so its service can answer a retransmit that arrives after the
+  // reply from its own record instead of executing it twice.
+  //
   // Overload behaviour: when `request.deadline_us` is nonzero the call
   // carries a time budget — every retransmit is re-stamped with the
   // *remaining* budget, the per-attempt receive timeout never exceeds it,

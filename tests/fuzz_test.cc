@@ -15,6 +15,7 @@
 #include "logsvc/server.h"
 #include "nfsbase/server.h"
 #include "rpc/message.h"
+#include "rpc/transport.h"
 #include "rpc/udp_transport.h"
 #include "tests/test_util.h"
 
@@ -155,9 +156,12 @@ TEST(FuzzTest, ManifestCountsBeyondThePayloadAreCorrupt) {
 // One seeded mutation of a valid encoding: a bit flip, a truncation, an
 // extension, or an edit of one of its u32 count fields (little-endian, at
 // the offsets in `counts`) to a nearby or a random value.
+// An empty encoding gets no flip, and one without count fields no count
+// edit.
 Bytes mutate(Rng& rng, Bytes wire, const std::vector<std::size_t>& counts) {
   switch (rng.next_below(5)) {
     case 0:
+      if (wire.empty()) break;
       wire[rng.next_below(wire.size())] ^=
           static_cast<std::uint8_t>(1u << rng.next_below(8));
       break;
@@ -171,6 +175,7 @@ Bytes mutate(Rng& rng, Bytes wire, const std::vector<std::size_t>& counts) {
       break;
     }
     case 3: {
+      if (counts.empty()) break;
       const std::size_t at = counts[rng.next_below(counts.size())];
       std::uint32_t v = 0;
       for (std::size_t i = 0; i < 4; ++i) {
@@ -384,6 +389,223 @@ TEST(FuzzTest, DirectoryFileDecoderSurvivesGarbage) {
     rng.fill(junk);
     (void)dir::decode_directory(junk);
   }
+}
+
+// Seeded mutations of valid directory files. An accepted mutant must
+// re-encode to exactly its bytes (the decoder insists on consuming them
+// all).
+TEST(FuzzTest, DirectoryDecoderRoundTripsMutatedDirectories) {
+  Rng rng(0xD17E);
+  int accepted = 0;
+  constexpr int kTrials = 5000;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    std::vector<dir::DirEntry> entries;
+    std::vector<std::size_t> counts{0};
+    std::size_t at = 4;
+    for (std::uint64_t i = rng.next_below(6); i > 0; --i) {
+      dir::DirEntry e;
+      e.name = std::string(rng.next_below(12), 'x');
+      for (char& c : e.name) c = static_cast<char>(rng.next());
+      e.target.port = Port(rng.next() & kMask48);
+      e.target.object = static_cast<std::uint32_t>(rng.next());
+      e.target.rights = static_cast<std::uint8_t>(rng.next());
+      e.target.check = rng.next() & kMask48;
+      counts.push_back(at);
+      at += 4 + e.name.size() + Capability::kWireSize;
+      entries.push_back(std::move(e));
+    }
+    const Bytes wire = mutate(rng, dir::encode_directory(entries), counts);
+    std::optional<Result<std::vector<dir::DirEntry>>> decoded;
+    EXPECT_NO_THROW(decoded.emplace(dir::decode_directory(wire)))
+        << "trial " << trial;
+    if (!decoded.has_value() || !decoded->ok()) continue;
+    ++accepted;
+    EXPECT_TRUE(equal(wire, dir::encode_directory(decoded->value())))
+        << "trial " << trial;
+    if (::testing::Test::HasFailure()) return;
+  }
+  EXPECT_GT(accepted, kTrials / 4);
+}
+
+// Seeded mutations of valid edit scripts, framed as a CREATE-FROM body
+// frames them (u32 count, then the edits). An accepted script re-encodes to
+// the bytes it consumed, and apply_edits either refuses it or produces
+// exactly the length the edits imply.
+TEST(FuzzTest, EditScriptDecoderRoundTripsMutatedScripts) {
+  Rng rng(0xED18);
+  const Bytes base = payload(300, 2);
+  int accepted = 0;
+  int applied = 0;
+  constexpr int kTrials = 5000;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    Writer w;
+    const std::uint64_t count = rng.next_below(5) + 1;
+    w.u32(static_cast<std::uint32_t>(count));
+    std::vector<std::size_t> counts{0};
+    for (std::uint64_t i = 0; i < count; ++i) {
+      wire::FileEdit edit;
+      edit.kind = static_cast<wire::FileEdit::Kind>(rng.next_below(5));
+      edit.offset = static_cast<std::uint32_t>(rng.next_below(base.size()));
+      edit.length = static_cast<std::uint32_t>(rng.next_below(base.size()));
+      edit.data = payload(rng.next_below(40), trial);
+      // offset, length and the data's length prefix are all u32 fields.
+      const std::size_t at = w.data().size() + 1;
+      counts.insert(counts.end(), {at, at + 4, at + 8});
+      edit.encode(w);
+    }
+    const Bytes wire = mutate(rng, w.data(), counts);
+
+    Reader r(wire);
+    const auto n = r.u32();
+    if (!n.ok() || n.value() > r.remaining() / 13) continue;
+    std::vector<wire::FileEdit> edits;
+    bool ok = true;
+    for (std::uint32_t i = 0; i < n.value() && ok; ++i) {
+      auto edit = wire::FileEdit::decode(r);
+      ok = edit.ok();
+      if (ok) edits.push_back(std::move(edit).value());
+    }
+    if (!ok) continue;
+    ++accepted;
+    Writer again;
+    again.u32(n.value());
+    for (const wire::FileEdit& e : edits) e.encode(again);
+    const std::size_t consumed = wire.size() - r.remaining();
+    EXPECT_TRUE(equal(ByteSpan(wire.data(), consumed), again.data()))
+        << "trial " << trial;
+
+    std::uint64_t size = base.size();
+    for (const wire::FileEdit& e : edits) {
+      switch (e.kind) {
+        case wire::FileEdit::Kind::overwrite: break;
+        case wire::FileEdit::Kind::insert:
+        case wire::FileEdit::Kind::append: size += e.data.size(); break;
+        case wire::FileEdit::Kind::erase: size -= e.length; break;
+        case wire::FileEdit::Kind::truncate: size = e.length; break;
+      }
+    }
+    const auto out = wire::apply_edits(base, edits);
+    if (out.ok()) {
+      ++applied;
+      EXPECT_EQ(size, out.value().size()) << "trial " << trial;
+    }
+    if (::testing::Test::HasFailure()) return;
+  }
+  EXPECT_GT(accepted, kTrials / 4);
+  EXPECT_GT(applied, kTrials / 20);
+}
+
+// Seeded mutations of valid directory requests, each sent with and
+// without a message id. Nothing may crash the dispatcher. A request with
+// an id, sent again, gets the identical reply and changes nothing: the
+// retransmit contract over UDP, where the server keeps no reply and a
+// mutation's second run is answered from the dir server's record. More
+// than a quarter of the mutants must get past the body decoder, and some
+// must succeed, so that the record is exercised.
+TEST(FuzzTest, DirRequestsSurviveMutationAndReplayIdentically) {
+  BulletHarness::Options options;
+  options.disk_blocks = 1 << 14;
+  options.inode_slots = 2048;
+  BulletHarness h(options);
+  rpc::LoopbackTransport transport;
+  ASSERT_OK(transport.register_service(&h.server()));
+  BulletClient storage(&transport, h.server().super_capability());
+  auto started = dir::DirServer::start(storage, dir::DirConfig());
+  ASSERT_TRUE(started.ok());
+  dir::DirServer& server = *started.value();
+  const Capability super = server.super_capability();
+  auto root = server.create_dir();
+  ASSERT_TRUE(root.ok());
+  auto file = storage.create(as_span("target"), 1);
+  ASSERT_TRUE(file.ok());
+  std::vector<Capability> dirs{root.value()};
+
+  Rng rng(0xD1A5);
+  int decoded = 0;
+  int succeeded = 0;
+  int checkpoints = 0;
+  constexpr int kTrials = 4000;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    rpc::Request request;
+    request.target = dirs[rng.next_below(dirs.size())];
+    request.opcode = static_cast<std::uint16_t>(rng.next_range(1, 13));
+    if ((request.opcode == dir::kCreateDir && dirs.size() >= 64) ||
+        (request.opcode == dir::kCheckpoint && ++checkpoints > 32)) {
+      request.opcode = dir::kList;
+    }
+    // Names from a small pool, so entries are often present and absent.
+    const std::string name = "entry-" + std::to_string(rng.next_below(6));
+    const auto bound = server.lookup(request.target, name);
+    Writer body;
+    std::vector<std::size_t> counts;  // u32 length fields in the body
+    switch (request.opcode) {
+      case dir::kCreateDir:
+      case dir::kCheckpoint:
+      case dir::kFetchMap:
+      case dir::kEpoch:
+        request.target = super;
+        break;
+      case dir::kLookup:
+      case dir::kRemove:
+        counts.push_back(0);
+        body.str(name);
+        break;
+      case dir::kEnter:
+      case dir::kReplace:
+        counts.push_back(0);
+        body.str(name);
+        file.value().encode(body);
+        break;
+      case dir::kCasReplace:
+        counts.push_back(0);
+        body.str(name);
+        (bound.ok() ? bound.value() : file.value()).encode(body);
+        file.value().encode(body);
+        break;
+      case dir::kRestrict:
+        body.u8(static_cast<std::uint8_t>(rng.next()) &
+                request.target.rights);
+        break;
+      case dir::kInstallMap:
+        request.target = super;
+        body.u64(server.map_epoch() + rng.next_below(2));
+        counts.push_back(8);
+        body.blob(payload(rng.next_below(24), trial));
+        break;
+      default:  // kList, kDeleteDir
+        break;
+    }
+    request.body = mutate(rng, body.data(), counts);
+    if (rng.next_below(2) == 0) request.message_id = rng.next() | 1;
+
+    std::optional<rpc::Reply> reply;
+    EXPECT_NO_THROW(reply.emplace(server.handle(request))) << "trial " << trial;
+    if (!reply.has_value()) return;
+    if (reply->status != ErrorCode::bad_argument) ++decoded;
+    if (reply->status == ErrorCode::ok) {
+      ++succeeded;
+      if (request.opcode == dir::kCreateDir) {
+        Reader r(reply->body);
+        auto made = Capability::decode(r);
+        ASSERT_TRUE(made.ok()) << "trial " << trial;
+        dirs.push_back(made.value());
+      }
+    }
+    if (request.message_id == 0) continue;
+    const std::size_t dirs_after = server.directory_count();
+    const std::uint64_t files_after = h.server().live_files();
+    const rpc::Reply again = server.handle(request);
+    EXPECT_EQ(reply->status, again.status) << "trial " << trial;
+    EXPECT_TRUE(equal(reply->body, again.body)) << "trial " << trial;
+    EXPECT_EQ(dirs_after, server.directory_count()) << "trial " << trial;
+    EXPECT_EQ(files_after, h.server().live_files()) << "trial " << trial;
+    if (::testing::Test::HasFailure()) return;
+  }
+  EXPECT_GT(decoded, kTrials / 4);
+  EXPECT_GT(succeeded, kTrials / 10);
+  // The server still works.
+  EXPECT_TRUE(server.create_dir().ok());
+  EXPECT_TRUE(server.checkpoint().ok());
 }
 
 TEST(FuzzTest, EditScriptsSurviveGarbageOffsets) {

@@ -28,7 +28,7 @@ using testing::status_of;
 
 // An rpc::Service whose handler blocks until the gate opens. Echoes the
 // request body so callers can verify they got *their* reply (and not, say,
-// a stale cached pushback — pushbacks must never enter the reply cache).
+// a stale pushback).
 class GateService final : public rpc::Service {
  public:
   Port public_port() const noexcept override { return Port(0xB10C); }

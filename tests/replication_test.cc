@@ -211,6 +211,33 @@ TEST(ReplicationTest, LostAckDeleteIsIdempotentAcrossFailover) {
   EXPECT_EQ(0u, pair.b().live_files());
 }
 
+// A client that never opted into message ids is covered too: the failover
+// transport gives the create one id before its first attempt, so the
+// retry on B after A's lost ack is answered from the replicated record
+// instead of making a twin.
+TEST(ReplicationTest, LostAckCreateWithoutClientIdsMakesNoTwin) {
+  PairHarness pair;
+  pair.attach();
+  rpc::FailoverTransport failover(
+      {&pair.client_link_a(), &pair.client_link_b()});
+  BulletClient client(&failover, pair.a().super_capability());
+
+  pair.client_link_a().set_partition(
+      rpc::FaultTransport::Partition::kDropReplies);
+  const Bytes data = payload(1500, 19);
+  auto cap = client.create(data, 1);
+  ASSERT_OK(status_of(cap));
+
+  EXPECT_EQ(1u, pair.a().live_files());
+  EXPECT_EQ(1u, pair.b().live_files());
+  auto from_a = pair.a().read(cap.value());
+  ASSERT_OK(status_of(from_a));
+  EXPECT_EQ(data, Bytes(from_a.value().begin(), from_a.value().end()));
+  auto from_b = pair.b().read(cap.value());
+  ASSERT_OK(status_of(from_b));
+  EXPECT_EQ(data, Bytes(from_b.value().begin(), from_b.value().end()));
+}
+
 // Property: one logical create retried through arbitrary client-link
 // faults (the retransmit keeps its message id) is applied exactly once
 // and the acked capability reads back on both replicas.

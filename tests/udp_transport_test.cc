@@ -8,6 +8,8 @@
 
 #include "bullet/client.h"
 #include "bullet/server.h"
+#include "dir/client.h"
+#include "dir/server.h"
 #include "rpc/udp_transport.h"
 #include "tests/raw_udp.h"
 #include "tests/test_util.h"
@@ -186,6 +188,9 @@ TEST_F(UdpTest, AbandonedFragmentsDoNotAccumulate) {
   w.u8(1);
   w.blob(data);
   request.body = std::move(w).take();
+  // The id a UdpTransport would stamp, so a retransmit of a create that
+  // was answered but whose reply this loop missed does not run twice.
+  request.message_id = rpc::fresh_message_id();
   const Bytes wire_request = request.encode();
   std::optional<Bytes> answer;
   for (int attempt = 0; attempt < 20 && !answer; ++attempt) {
@@ -243,9 +248,10 @@ TEST_F(UdpTest, SurvivesPacketLoss) {
 }
 
 TEST_F(UdpTest, DuplicateRequestsExecuteOnce) {
-  // Drop datagrams often enough that some *replies* are lost after the
-  // request executed: the retransmitted request must be answered from the
-  // reply cache, not create a second file.
+  // Drop datagrams often enough that some requests are retransmitted: a
+  // retransmit must never create a second file. While the first copy is in
+  // flight the server drops it; once answered, the server answers it from
+  // the record kept under the message id UdpTransport stamped.
   rpc::UdpServerOptions options;
   options.drop_one_in = 3;
   options.loss_seed = 7;
@@ -262,6 +268,100 @@ TEST_F(UdpTest, DuplicateRequestsExecuteOnce) {
   EXPECT_EQ(static_cast<std::uint64_t>(kCreates), h_.server().live_files());
   EXPECT_EQ(static_cast<std::uint64_t>(kCreates),
             testing::metric(h_.server(), "bullet_creates_total"));
+}
+
+// The server keeps no reply once it is sent, so a retransmit that
+// arrives afterwards reaches the service again. A Bullet CREATE and a
+// CREATE-DIR that carry a message id are answered from their service's
+// record, byte for byte, instead of running twice.
+TEST_F(UdpTest, RetransmitAfterTheReplyIsAnsweredFromTheRecord) {
+  start_server();
+  rpc::LoopbackTransport local;
+  ASSERT_OK(local.register_service(&h_.server()));
+  auto dir_server = dir::DirServer::start(
+      BulletClient(&local, h_.server().super_capability()), dir::DirConfig());
+  ASSERT_TRUE(dir_server.ok());
+  ASSERT_OK(udp_server_->register_service(dir_server.value().get()));
+  testing::RawUdpEndpoint raw(udp_server_->port());
+  // Send `request` as fragment message `id`, wait for the reply, then
+  // retransmit it: both answers must be identical.
+  const auto send_twice = [&](const rpc::Request& request, std::uint64_t id) {
+    const Bytes wire_request = request.encode();
+    raw.send_message(id, wire_request);
+    const std::optional<Bytes> first = raw.receive(id, 2000);
+    ASSERT_TRUE(first.has_value());
+    raw.send_message(id, wire_request);
+    const std::optional<Bytes> again = raw.receive(id, 2000);
+    ASSERT_TRUE(again.has_value());
+    EXPECT_TRUE(equal(*first, *again));
+    auto reply = rpc::Reply::decode(*first);
+    ASSERT_TRUE(reply.ok());
+    EXPECT_EQ(ErrorCode::ok, reply.value().status);
+  };
+
+  rpc::Request create;
+  create.target = h_.server().super_capability();
+  create.opcode = wire::kCreate;
+  Writer w;
+  w.u8(1);
+  w.blob(payload(2000, 5));
+  create.body = std::move(w).take();
+  create.message_id = rpc::fresh_message_id();
+  send_twice(create, 7);
+  EXPECT_EQ(1u, h_.server().live_files());
+  EXPECT_EQ(1u, testing::metric(h_.server(), "bullet_creates_total"));
+  EXPECT_EQ(1u, testing::metric(h_.server(), "bullet_repl_dedup_hits_total"));
+
+  rpc::Request create_dir;
+  create_dir.target = dir_server.value()->super_capability();
+  create_dir.opcode = dir::kCreateDir;
+  create_dir.message_id = rpc::fresh_message_id();
+  send_twice(create_dir, 8);
+  EXPECT_EQ(1u, dir_server.value()->directory_count());
+  EXPECT_EQ(2u, h_.server().live_files());  // the directory's one file
+  EXPECT_EQ(0u, udp_server_->duplicates_suppressed());
+}
+
+// The dir twin of DuplicateRequestsExecuteOnce: under request loss every
+// mutation still runs exactly once, so ENTER and REMOVE never see the
+// effect of their own earlier copy (already_exists, not_found).
+TEST_F(UdpTest, DirMutationsExecuteOnceUnderLoss) {
+  rpc::LoopbackTransport local;
+  ASSERT_OK(local.register_service(&h_.server()));
+  auto dir_server = dir::DirServer::start(
+      BulletClient(&local, h_.server().super_capability()), dir::DirConfig());
+  ASSERT_TRUE(dir_server.ok());
+  rpc::UdpServerOptions options;
+  options.drop_one_in = 3;
+  options.loss_seed = 7;
+  auto udp = rpc::UdpServer::start(options);
+  ASSERT_TRUE(udp.ok());
+  ASSERT_OK(udp.value()->register_service(dir_server.value().get()));
+  rpc::UdpClientOptions client_options;
+  client_options.server_udp_port = udp.value()->port();
+  client_options.timeout_ms = 60;
+  client_options.max_timeout_ms = 240;
+  client_options.max_attempts = 20;
+  auto transport = rpc::UdpTransport::connect(client_options);
+  ASSERT_TRUE(transport.ok());
+  dir::DirClient client(transport.value().get(),
+                        dir_server.value()->super_capability());
+  const Capability file = h_.server().super_capability();
+
+  constexpr int kRounds = 12;
+  for (int i = 0; i < kRounds; ++i) {
+    auto dir = client.create_dir();
+    ASSERT_TRUE(dir.ok()) << i << ": " << dir.error().to_string();
+    ASSERT_OK(client.enter(dir.value(), "f", file));
+    ASSERT_OK(client.remove(dir.value(), "f"));
+  }
+  EXPECT_GT(udp.value()->dropped(), 0u);
+  EXPECT_GT(transport.value()->retransmissions(), 0u);
+  // One directory per create, each backed by exactly one Bullet file.
+  EXPECT_EQ(static_cast<std::size_t>(kRounds),
+            dir_server.value()->directory_count());
+  EXPECT_EQ(static_cast<std::uint64_t>(kRounds), h_.server().live_files());
+  udp.value()->stop();
 }
 
 TEST_F(UdpTest, TimeoutWhenServerGone) {
