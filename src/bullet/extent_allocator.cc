@@ -65,7 +65,11 @@ void ExtentAllocator::drop_hole(
 
 std::optional<std::uint64_t> ExtentAllocator::allocate(std::uint64_t length) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (length == 0 || length > total_free_) return std::nullopt;
+  // The largest-hole check fails a miss in O(1), without the scan: the
+  // cache's evict-until-fit loop retries after every eviction.
+  if (length == 0 || hole_sizes_.empty() || length > *hole_sizes_.rbegin()) {
+    return std::nullopt;
+  }
   for (auto it = holes_.begin(); it != holes_.end(); ++it) {
     if (it->second < length) continue;
     const std::uint64_t offset = it->first;

@@ -94,29 +94,16 @@ Result<RnodeIndex> FileCache::insert(std::uint32_t inode_index,
   // "First the memory free list is searched to see if there is a part
   //  large enough to hold the file. If not, the least recently accessed
   //  file is removed from the RAM cache ... repeating until enough memory
-  //  is found."
-  //
-  // With pinned entries in play compaction can no longer always produce a
-  // single hole (pins are immovable), so one compaction per layout is the
-  // cap: compact at most once between evictions, then fall through to
-  // eviction rather than spinning.
-  std::optional<std::uint64_t> offset;
-  bool compacted = false;
-  for (;;) {
-    offset = alloc == 0 ? std::optional<std::uint64_t>(0)
-                        : arena_free_.allocate(alloc);
-    if (offset.has_value()) break;
-    if (!compacted && arena_free_.total_free() >= alloc) {
-      // Enough bytes in total but no contiguous hole: compaction, not
-      // eviction, is the remedy.
-      compact_locked();
-      compacted = true;
-      continue;
-    }
+  //  is found." Pinned entries are skipped, so the loop ends with no_space
+  // when they alone leave no hole large enough.
+  std::optional<std::uint64_t> offset =
+      alloc == 0 ? std::optional<std::uint64_t>(0)
+                 : arena_free_.allocate(alloc);
+  while (!offset.has_value()) {
     if (!evict_lru(evicted)) {
       return Error(ErrorCode::no_space, "cache exhausted");
     }
-    compacted = false;  // the layout changed; compaction may pay off again
+    offset = arena_free_.allocate(alloc);
   }
 
   if (free_rnodes_.empty()) {
@@ -264,56 +251,6 @@ bool FileCache::evict_lru(std::vector<std::uint32_t>* evicted) {
   remove_locked(victim);
   ++stats_.evictions;
   return true;
-}
-
-void FileCache::compact() {
-  std::lock_guard<std::mutex> lock(mu_);
-  compact_locked();
-}
-
-void FileCache::compact_locked() {
-  // Slide entries to the lowest available offset, in offset order. Pinned
-  // and zombie entries are immovable obstacles: a reader may be shipping
-  // their bytes right now. The cursor walk below never collides a moved
-  // entry with a later obstacle because entries are processed in offset
-  // order and the cursor never exceeds the current entry's own offset
-  // (each step advances it to at most offset + alloc, and entries do not
-  // overlap), so the destination [cursor, cursor + alloc) always ends at
-  // or before the next entry's start.
-  std::vector<RnodeIndex> occupied;
-  for (std::size_t i = 0; i < rnodes_.size(); ++i) {
-    if (rnodes_[i].in_use || rnodes_[i].zombie) {
-      occupied.push_back(static_cast<RnodeIndex>(i + 1));
-    }
-  }
-  std::sort(occupied.begin(), occupied.end(),
-            [this](RnodeIndex a, RnodeIndex b) {
-              return slot(a).offset < slot(b).offset;
-            });
-  std::uint64_t cursor = 0;
-  for (const RnodeIndex index : occupied) {
-    Rnode& node = slot(index);
-    if (node.pins > 0 || node.zombie) {
-      cursor = std::max(cursor, node.offset + node.alloc);
-      continue;
-    }
-    if (node.offset != cursor && node.alloc > 0) {
-      std::memmove(arena_.data() + cursor, arena_.data() + node.offset,
-                   node.alloc);
-    }
-    node.offset = cursor;
-    cursor += node.alloc;
-  }
-  // Rebuild the free map from the surviving layout.
-  arena_free_ = ExtentAllocator(0, arena_.size());
-  for (const RnodeIndex index : occupied) {
-    const Rnode& node = slot(index);
-    if (node.alloc == 0) continue;
-    const Status st = arena_free_.reserve(node.offset, node.alloc);
-    assert(st.ok());
-    (void)st;
-  }
-  ++stats_.compactions;
 }
 
 FileCache::Stats FileCache::stats() const {

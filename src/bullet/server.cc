@@ -185,7 +185,6 @@ BulletServer::BulletServer(MirroredDisk* disk, BulletConfig config,
     e.value("bullet_cache_capacity_bytes", cs.capacity);
     e.value("bullet_cache_used_bytes", cs.used);
     e.value("bullet_cache_entries", cs.entries);
-    e.value("bullet_cache_compactions_total", cs.compactions);
     e.value("bullet_cache_deferred_frees_total", cs.deferred_frees);
     lock.unlock();
     e.histogram("bullet_read_latency_ns", read_latency_ns_.snapshot());
@@ -613,8 +612,8 @@ void BulletServer::read_miss_async(const Capability& cap, ReadCallback done) {
   MutableByteSpan dst;
   if (rnode_result.ok()) {
     rnode = rnode_result.value();
-    // Pin before the lock drops: an unfilled entry must stay valid and
-    // immobile while the device writes into its arena bytes. The inode's
+    // Pin before the lock drops: an unfilled entry must not be evicted or
+    // reused while the device writes into its arena bytes. The inode's
     // cache_index stays unset until completion, so no probe can hit the
     // half-filled entry.
     cache_.pin(rnode);
@@ -904,7 +903,7 @@ void BulletServer::create_async(ByteSpan data, int pfactor,
       std::memcpy(cache_.mutable_data(rnode).data(), data.data(), size);
     }
     // The device reads straight from the arena while the lock is down; the
-    // pin keeps those bytes valid and immobile until the writes land.
+    // pin keeps those bytes from eviction and reuse until the writes land.
     cache_.pin(rnode);
     ctx->stored = cache_.padded_data(rnode);
   } else if (rnode_result.code() == ErrorCode::no_space) {
@@ -1400,9 +1399,8 @@ Result<BulletServer::CompactProgress> BulletServer::compact_step_locked(
   if (!compact_.moving) {
     // One scan per step: every extent at or above the cursor — live files,
     // and extents pinned under an in-flight erased fill — in block order.
-    // Entries with async I/O in flight (fills_) are immobile obstacles,
-    // exactly like pinned entries in FileCache::compact — the cursor
-    // slides past them, as it does past files already in place.
+    // Entries with async I/O in flight (fills_) are immobile obstacles:
+    // the cursor slides past them, as it does past files already in place.
     struct Extent {
       std::uint64_t first = 0;
       std::uint64_t blocks = 0;

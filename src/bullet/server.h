@@ -117,10 +117,10 @@ class BulletServer final : public rpc::Service {
   Result<ByteSpan> read(const Capability& cap);
 
   // BULLET.READ for concurrent callers: the span views the RAM cache and
-  // the `retainer` keeps the entry pinned (valid, immobile, exempt from
-  // eviction) until the last copy of the retainer drops. Cache hits take
-  // only the shared lock. The server must outlive every retainer. Blocking
-  // adapter over read_pinned_async().
+  // the `retainer` keeps the entry pinned (valid and exempt from eviction)
+  // until the last copy of the retainer drops. Cache hits take only the
+  // shared lock. The server must outlive every retainer. Blocking adapter
+  // over read_pinned_async().
   struct PinnedFile {
     ByteSpan data;
     std::shared_ptr<const void> retainer;
@@ -216,9 +216,9 @@ class BulletServer final : public rpc::Service {
   // blocks copied under one exclusive-lock hold. The crash-safe
   // copy-then-flip protocol holds at every step boundary (an on-disk inode
   // only ever points at fully written data). Files with an in-flight
-  // async fill or write are treated as immobile obstacles, like pinned
-  // entries in FileCache::compact. Progress persists across calls; `done`
-  // flips true when a full pass found everything packed.
+  // async fill or write are treated as immobile obstacles. Progress
+  // persists across calls; `done` flips true when a full pass found
+  // everything packed.
   struct CompactProgress {
     std::uint64_t moved_blocks = 0;  // total for the current pass
     bool done = false;

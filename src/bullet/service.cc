@@ -13,7 +13,7 @@ rpc::Reply to_reply(const Status& status) {
 // READ / READ_RANGE reply. Zero-copy: own only the 4-byte blob length;
 // borrow the file bytes from the cache arena, pinned there by the retainer
 // for as long as the Reply lives (so a concurrent worker can encode it
-// while other requests evict and compact). Wire bytes are identical to a
+// while other requests evict). Wire bytes are identical to a
 // Writer::blob() reply.
 rpc::Reply pinned_reply(Result<BulletServer::PinnedFile> data) {
   if (!data.ok()) return rpc::Reply::error(data.code());

@@ -89,6 +89,8 @@ class DirServer final : public rpc::Service {
   Result<Capability> restrict(const Capability& cap, std::uint8_t new_rights);
 
   std::size_t directory_count() const noexcept { return objects_.size(); }
+  // Retried mutations answered from the message-id record.
+  std::uint64_t record_hits() const noexcept { return record_hits_; }
 
   // Capability for the server object itself (object number 0): create_dir
   // needs the write right on it, checkpoint the admin right.
@@ -142,6 +144,7 @@ class DirServer final : public rpc::Service {
   static constexpr std::size_t kRecordedReplies = 1024;
   std::map<std::uint64_t, Bytes> replies_;
   std::deque<std::uint64_t> reply_order_;
+  std::uint64_t record_hits_ = 0;
 
   // Cluster placement map: version, contents, and the Bullet file holding
   // the persisted copy (kept current by install_map; carried through

@@ -43,6 +43,7 @@ rpc::Reply DirServer::handle(const rpc::Request& request) {
   }
   if (const auto it = replies_.find(request.message_id);
       it != replies_.end()) {
+    ++record_hits_;
     return rpc::Reply::success(it->second);
   }
   rpc::Reply reply = dispatch(request);

@@ -339,6 +339,9 @@ struct UdpServer::Impl : std::enable_shared_from_this<UdpServer::Impl> {
   std::atomic<std::uint64_t> dropped{0};
   std::atomic<std::uint64_t> duplicates{0};
   Rng loss_rng{1};  // RX thread only
+  // Reply-side loss: finish() runs on workers and completion threads.
+  std::mutex reply_loss_mu;
+  Rng reply_loss_rng{1};
 
   // Multi-fragment messages being reassembled, at most one per client
   // endpoint; RX thread only. A UdpTransport connection has one call
@@ -504,7 +507,9 @@ struct UdpServer::Impl : std::enable_shared_from_this<UdpServer::Impl> {
       }
       io.shed_pushback.fetch_add(1, std::memory_order_relaxed);
     }
-    {
+    if (lose_reply()) {
+      dropped.fetch_add(1);
+    } else {
       obs::ScopedSpan span(obs::Stage::kTx);
       const auto header = reply.encode_header();
       std::vector<ByteSpan> parts{ByteSpan(header), ByteSpan(reply.body)};
@@ -531,6 +536,12 @@ struct UdpServer::Impl : std::enable_shared_from_this<UdpServer::Impl> {
       std::lock_guard<std::mutex> lock(inline_mu);
       inline_inflight.erase({ctx->peer, ctx->message_id});
     }
+  }
+
+  bool lose_reply() {
+    if (options.drop_one_in == 0) return false;
+    std::lock_guard<std::mutex> lock(reply_loss_mu);
+    return reply_loss_rng.next_below(options.drop_one_in) == 0;
   }
 
   // Release a client whose head-of-queue request parked: drop the request
@@ -763,6 +774,7 @@ Result<std::unique_ptr<UdpServer>> UdpServer::start(UdpServerOptions options) {
   auto impl = std::make_shared<Impl>();
   impl->options = options;
   impl->loss_rng.reseed(options.loss_seed);
+  impl->reply_loss_rng.reseed(~options.loss_seed);
   BULLET_ASSIGN_OR_RETURN(impl->fd,
                           make_socket(options.udp_port, /*timeout_ms=*/50));
   const std::uint16_t port = bound_port(impl->fd);

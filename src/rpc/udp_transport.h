@@ -123,8 +123,12 @@ class Reassembler {
 struct UdpServerOptions {
   // Port 0 lets the kernel pick; the bound port is reported by port().
   std::uint16_t udp_port = 0;
-  // Drop 1 in `drop_one_in` received datagrams (0 = never), deterministic
-  // under `loss_seed`. Test hook for exercising retransmission.
+  // Drop 1 in `drop_one_in` received datagrams and 1 in `drop_one_in`
+  // outgoing replies (a whole reply, as losing any one of its fragments
+  // would); 0 = never. Deterministic under `loss_seed`. Test hook: request
+  // loss exercises retransmission; reply loss makes a retransmit reach a
+  // request that already executed, which its service's message-id record
+  // must answer.
   std::uint32_t drop_one_in = 0;
   std::uint64_t loss_seed = 1;
   // Dispatch threads. 0 = execute requests inline on the receive thread
@@ -162,7 +166,8 @@ class UdpServer {
   // The UDP port actually bound.
   std::uint16_t port() const noexcept { return udp_port_; }
 
-  // Datagrams deliberately dropped by the loss injector.
+  // Received datagrams and replies deliberately dropped by the loss
+  // injector.
   std::uint64_t dropped() const noexcept;
   // Retransmits dropped because their request was still queued, executing
   // or parked on the disk when they arrived.

@@ -1,10 +1,10 @@
 // Pin/evict interaction under concurrency. Readers pin cached files (the
 // zero-copy reply path) while a writer churns the cache hard enough to
-// force eviction and compaction, and while deletes land on pinned entries.
-// The invariants under test:
+// force eviction, and while deletes land on pinned entries. The invariants
+// under test:
 //
 //   * a pinned span stays valid and byte-identical no matter what insert /
-//     evict / compact / remove traffic runs concurrently;
+//     evict / remove traffic runs concurrently;
 //   * remove-while-pinned defers the free until the last unpin;
 //   * the server's shared/exclusive locking keeps verify-read-reply atomic
 //     against create/erase/compact.
@@ -102,41 +102,95 @@ TEST(FileCachePinTest, RemoveWhilePinnedDefersTheFree) {
   ASSERT_TRUE(b.ok());
 }
 
-TEST(FileCachePinTest, CompactionSlidesAroundPinnedEntries) {
-  // Build [hole=100][B=50][hole=50][D=100 pinned] — 150 free bytes, but no
-  // contiguous run bigger than 100. A 150-byte insert then *requires*
-  // compaction, which must slide B left while leaving pinned D exactly
-  // where it is.
-  FileCache cache(300, /*block_size=*/1);
+TEST(FileCachePinTest, EvictionToFitSkipsPinnedEntries) {
+  // Build [hole=100][B=50][hole=50][D=100 pinned][E=100]: 150 free bytes,
+  // but no contiguous run bigger than 100. A 150-byte insert must evict
+  // its way to a hole, walking past pinned D, and no survivor may move.
+  FileCache cache(400, /*block_size=*/1);
   std::vector<std::uint32_t> evicted;
   auto a = cache.insert(1, 100, &evicted);  // [0, 100)
   auto b = cache.insert(2, 50, &evicted);   // [100, 150)
   auto c = cache.insert(3, 50, &evicted);   // [150, 200)
   auto d = cache.insert(4, 100, &evicted);  // [200, 300)
-  ASSERT_TRUE(a.ok() && b.ok() && c.ok() && d.ok());
-  const Bytes bytes_b = payload(50, 2);
+  auto e = cache.insert(5, 100, &evicted);  // [300, 400)
+  ASSERT_TRUE(a.ok() && b.ok() && c.ok() && d.ok() && e.ok());
   const Bytes bytes_d = payload(100, 4);
-  std::memcpy(cache.mutable_data(b.value()).data(), bytes_b.data(), 50);
+  const Bytes bytes_e = payload(100, 5);
   std::memcpy(cache.mutable_data(d.value()).data(), bytes_d.data(), 100);
+  std::memcpy(cache.mutable_data(e.value()).data(), bytes_e.data(), 100);
+  const auto* e_addr = cache.data(e.value()).data();
 
   const auto pinned = cache.touch_and_pin(d.value(), 4);
   ASSERT_TRUE(pinned.has_value());
   const auto* d_addr = pinned->data();
-
   cache.remove(a.value());
   cache.remove(c.value());
+  cache.touch(b.value());
+  cache.touch(e.value());  // recency, oldest first: D (pinned), B, E
 
-  const auto compactions_before = cache.stats().compactions;
-  auto e = cache.insert(5, 150, &evicted);
-  ASSERT_TRUE(e.ok());
-  EXPECT_TRUE(evicted.empty());  // satisfied by compaction, not eviction
-  EXPECT_GT(cache.stats().compactions, compactions_before);
+  auto f = cache.insert(6, 150, &evicted);
+  ASSERT_TRUE(f.ok());
+  EXPECT_EQ(std::vector<std::uint32_t>{2}, evicted);  // B, not pinned D
+  EXPECT_EQ(1u, cache.stats().pinned_evict_defers);
+  EXPECT_EQ(d_addr - 200, cache.data(f.value()).data());  // [0, 150)
 
-  // Pinned D did not move or change; B moved but kept its bytes.
-  EXPECT_EQ(pinned->data(), d_addr);
+  // Neither survivor moved or changed, pinned or not.
+  EXPECT_EQ(d_addr, cache.data(d.value()).data());
   EXPECT_TRUE(equal(bytes_d, *pinned));
-  EXPECT_TRUE(equal(bytes_b, cache.data(b.value())));
+  EXPECT_EQ(e_addr, cache.data(e.value()).data());
+  EXPECT_TRUE(equal(bytes_e, cache.data(e.value())));
   cache.unpin(d.value());
+}
+
+TEST(FileCachePinTest, PinsThatSplitTheArenaSendAMissToTheHeap) {
+  // A 32 KB arena of 512-byte blocks: A at [0, 8K), pinned B at [8K, 16K).
+  // Evicting A leaves 8 KB + 16 KB free on either side of B, so a 20 KB
+  // file cannot be cached while B is pinned.
+  constexpr std::uint32_t kSmall = 8 * 1024;
+  constexpr std::uint32_t kBig = 20 * 1024;
+  {
+    FileCache cache(32 * 1024, /*block_size=*/512);
+    std::vector<std::uint32_t> evicted;
+    auto a = cache.insert(1, kSmall, &evicted);
+    auto b = cache.insert(2, kSmall, &evicted);
+    ASSERT_TRUE(a.ok() && b.ok());
+    ASSERT_TRUE(cache.touch_and_pin(b.value(), 2).has_value());
+    EXPECT_CODE(no_space,
+                testing::status_of(cache.insert(3, kBig, &evicted)));
+    EXPECT_EQ(std::vector<std::uint32_t>{1}, evicted);
+    cache.unpin(b.value());
+  }
+
+  // The same layout in a server: its READ of the big file is still served,
+  // byte-exact, from a private heap buffer.
+  BulletHarness::Options options;
+  options.cache_bytes = 32 * 1024;
+  BulletHarness h(options);
+  const Bytes small_a = payload(kSmall, 1);
+  const Bytes small_b = payload(kSmall, 2);
+  const Bytes big = payload(kBig, 3);
+  auto cap_a = h.server().create(small_a, 1);
+  auto cap_b = h.server().create(small_b, 1);
+  auto cap_big = h.server().create(big, 1);
+  ASSERT_TRUE(cap_a.ok() && cap_b.ok() && cap_big.ok());
+  h.reboot();  // cold cache: fill it in a known order
+
+  {
+    auto file_a = h.server().read_pinned(cap_a.value());
+    ASSERT_TRUE(file_a.ok());
+  }  // A's pin drops here; B's is held to the end
+  auto file_b = h.server().read_pinned(cap_b.value());
+  ASSERT_TRUE(file_b.ok());
+  const auto scratch_before =
+      testing::metric(h.server(), "bullet_scratch_allocs_total");
+
+  auto file_big = h.server().read_pinned(cap_big.value());
+  ASSERT_TRUE(file_big.ok());
+  EXPECT_TRUE(equal(big, file_big.value().data));
+  EXPECT_EQ(scratch_before + 1,
+            testing::metric(h.server(), "bullet_scratch_allocs_total"));
+  EXPECT_EQ(1u, h.server().cache().stats().entries);  // only pinned B
+  EXPECT_TRUE(equal(small_b, file_b.value().data));
 }
 
 // --- server-level pin/evict storm ---------------------------------------
@@ -144,7 +198,7 @@ TEST(FileCachePinTest, CompactionSlidesAroundPinnedEntries) {
 TEST(ConcurrencyStressTest, ReadersPinWhileWriterEvictsAndCompacts) {
   // Cache holds ~8 files of 16 KB; 5 stable files leave room for the
   // writer's churn to force constant eviction, miss-path reloads of the
-  // stable set, and in-cache compaction.
+  // stable set, and disk compaction.
   BulletHarness::Options options;
   options.disk_blocks = 1 << 14;  // 8 MB per replica
   options.inode_slots = 512;
@@ -176,7 +230,7 @@ TEST(ConcurrencyStressTest, ReadersPinWhileWriterEvictsAndCompacts) {
         ++failures;
         continue;
       }
-      // Hold the pin across a second read: eviction and compaction run
+      // Hold the pin across a second read: eviction and disk compaction run
       // underneath, the span must stay intact the whole time.
       auto again = h.server().read_pinned(caps[(pick + 1) % kStable]);
       if (!again.ok() || crc32c(again.value().data) != crcs[(pick + 1) % kStable]) {
@@ -199,8 +253,8 @@ TEST(ConcurrencyStressTest, ReadersPinWhileWriterEvictsAndCompacts) {
         continue;
       }
       churn.push_back(cap.value());
-      // Delete in a pattern that leaves holes (fragmentation -> compaction)
-      // and keep the live churn set small.
+      // Delete in a pattern that leaves holes (evict-to-fit in the arena,
+      // disk compaction) and keep the live churn set small.
       if (churn.size() >= 6) {
         const auto victim = rng.next_below(churn.size());
         if (!h.server().erase(churn[victim]).ok()) ++failures;

@@ -1,4 +1,4 @@
-// Tests for the rnode file cache: LRU eviction, free lists, compaction.
+// Tests for the rnode file cache: LRU eviction, free lists, evict-to-fit.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -96,35 +96,40 @@ TEST(FileCacheTest, RemoveFreesSpace) {
   EXPECT_TRUE(evicted.empty());
 }
 
-TEST(FileCacheTest, CompactionDefragments) {
+TEST(FileCacheTest, FragmentedInsertEvictsInLruOrder) {
   FileCache cache(1000);
   std::vector<std::uint32_t> evicted;
-  auto a = cache.insert(1, 300, &evicted);
-  auto b = cache.insert(2, 300, &evicted);
-  auto c = cache.insert(3, 300, &evicted);
-  ASSERT_TRUE(a.ok() && b.ok() && c.ok());
-  fill(cache, a.value(), payload(300, 1));
-  fill(cache, c.value(), payload(300, 3));
-  cache.remove(b.value());
-  // 400 free but split 300 + 100: insert(350) must compact, not evict.
-  auto d = cache.insert(4, 350, &evicted);
-  ASSERT_TRUE(d.ok());
-  EXPECT_TRUE(evicted.empty());
-  EXPECT_EQ(1u, cache.stats().compactions);
-  // Survivors kept their bytes across the memmove.
-  EXPECT_TRUE(equal(payload(300, 1), cache.data(a.value())));
-  EXPECT_TRUE(equal(payload(300, 3), cache.data(c.value())));
-}
-
-TEST(FileCacheTest, ExplicitCompactIsSafeWhenEmptyOrFull) {
-  FileCache cache(100);
-  cache.compact();
-  std::vector<std::uint32_t> evicted;
-  auto a = cache.insert(1, 100, &evicted);
-  ASSERT_TRUE(a.ok());
-  fill(cache, a.value(), payload(100, 9));
-  cache.compact();
-  EXPECT_TRUE(equal(payload(100, 9), cache.data(a.value())));
+  auto a = cache.insert(1, 100, &evicted);   // [0, 100)
+  auto x = cache.insert(2, 100, &evicted);   // [100, 200)
+  auto b = cache.insert(3, 100, &evicted);   // [200, 300)
+  auto c = cache.insert(4, 100, &evicted);   // [300, 400)
+  auto e = cache.insert(5, 100, &evicted);   // [400, 500)
+  auto y = cache.insert(6, 100, &evicted);   // [500, 600)
+  auto f = cache.insert(7, 400, &evicted);   // [600, 1000)
+  ASSERT_TRUE(a.ok() && x.ok() && b.ok() && c.ok() && e.ok() && y.ok() &&
+              f.ok());
+  fill(cache, a.value(), payload(100, 1));
+  fill(cache, e.value(), payload(100, 5));
+  const auto* base = cache.data(a.value()).data();
+  cache.remove(x.value());
+  cache.remove(y.value());
+  cache.touch(a.value());
+  cache.touch(e.value());
+  cache.touch(f.value());  // recency, oldest first: b, c, a, e, f
+  // 200 bytes free in two 100-byte holes. A 250-byte insert evicts b
+  // (hole 200, still short; compacting would now have fit it), then c
+  // (hole 300), and stops there.
+  auto g = cache.insert(8, 250, &evicted);
+  ASSERT_TRUE(g.ok());
+  EXPECT_EQ((std::vector<std::uint32_t>{3, 4}), evicted);
+  EXPECT_EQ(2u, cache.stats().evictions);
+  EXPECT_EQ(base + 100, cache.data(g.value()).data());
+  // The survivors did not move and kept their bytes.
+  EXPECT_EQ(base, cache.data(a.value()).data());
+  EXPECT_EQ(base + 400, cache.data(e.value()).data());
+  EXPECT_EQ(base + 600, cache.data(f.value()).data());
+  EXPECT_TRUE(equal(payload(100, 1), cache.data(a.value())));
+  EXPECT_TRUE(equal(payload(100, 5), cache.data(e.value())));
 }
 
 TEST(FileCacheTest, RnodeSlotsRecycled) {
@@ -215,26 +220,33 @@ TEST(FileCacheAlignmentTest, PaddingTailIsZeroedOnRecycledSpace) {
   }
 }
 
-TEST(FileCacheAlignmentTest, CompactionPreservesAlignment) {
+TEST(FileCacheAlignmentTest, EvictionToFitPreservesAlignment) {
   FileCache cache(2048, /*block_size=*/512);
   std::vector<std::uint32_t> evicted;
-  auto a = cache.insert(1, 300, &evicted);
-  auto b = cache.insert(2, 300, &evicted);
-  auto c = cache.insert(3, 300, &evicted);
+  auto a = cache.insert(1, 300, &evicted);  // block 0
+  auto b = cache.insert(2, 300, &evicted);  // block 1
+  auto c = cache.insert(3, 300, &evicted);  // block 2
   ASSERT_TRUE(a.ok() && b.ok() && c.ok());
-  fill(cache, a.value(), payload(300, 1));
+  // Dirty a's whole block, padding included, so its reuse must re-zero.
+  std::memset(cache.mutable_padded_data(a.value()).data(), 0xAB, 512);
   fill(cache, c.value(), payload(300, 3));
+  const auto* c_addr = cache.data(c.value()).data();
   cache.remove(b.value());
-  // Two blocks free but split 1+1: a two-block insert forces compaction.
-  auto d = cache.insert(4, 1024, &evicted);
+  // Two blocks free but split 1+1: a two-block insert evicts a, the LRU
+  // entry, and lands on blocks 0-1.
+  auto d = cache.insert(4, 700, &evicted);
   ASSERT_TRUE(d.ok());
-  EXPECT_TRUE(evicted.empty());
-  EXPECT_EQ(1u, cache.stats().compactions);
-  EXPECT_TRUE(equal(payload(300, 1), cache.data(a.value())));
+  EXPECT_EQ(std::vector<std::uint32_t>{1}, evicted);
+  EXPECT_EQ(c_addr, cache.data(c.value()).data());
   EXPECT_TRUE(equal(payload(300, 3), cache.data(c.value())));
-  // Entries still sit on block boundaries: padded spans are full blocks.
-  EXPECT_EQ(512u, cache.padded_data(a.value()).size());
-  EXPECT_EQ(1024u, cache.padded_data(d.value()).size());
+  // Entries sit on block boundaries, and the padding tails read as zero.
+  const ByteSpan padded = cache.padded_data(d.value());
+  ASSERT_EQ(1024u, padded.size());
+  EXPECT_EQ(c_addr - 1024, padded.data());
+  for (std::size_t i = 700; i < padded.size(); ++i) {
+    ASSERT_EQ(0u, padded[i]) << "padding byte " << i;
+  }
+  EXPECT_EQ(512u, cache.padded_data(c.value()).size());
 }
 
 // --- O(1) LRU ----------------------------------------------------------------

@@ -8,12 +8,14 @@
 #include <map>
 #include <optional>
 
+#include "bullet/client.h"
 #include "bullet/server.h"
 #include "bullet/wire.h"
 #include "cluster/placement.h"
 #include "dir/server.h"
 #include "logsvc/server.h"
 #include "nfsbase/server.h"
+#include "obs/trace.h"
 #include "rpc/message.h"
 #include "rpc/transport.h"
 #include "rpc/udp_transport.h"
@@ -273,6 +275,67 @@ TEST(FuzzTest, PlacementMapDecoderRoundTripsMutatedMaps) {
       ++accepted;
     }
     if (::testing::Test::HasFailure()) return;
+  }
+  EXPECT_GT(accepted, kTrials / 4);
+}
+
+// Answers every call with one canned reply body: a trace dump as a
+// corrupted or hostile daemon might send it.
+class CannedTransport final : public rpc::Transport {
+ public:
+  Result<rpc::Reply> call(const rpc::Request&) override {
+    return rpc::Reply::success(body);
+  }
+  Bytes body;
+};
+
+// Seeded mutations of a kTraceDump reply (u32 count ‖ count spans), decoded
+// by BulletClient::trace_dump and named by obs::stage_name, as `bullet_tool
+// trace` does. The dump is accepted exactly when the body holds `count`
+// spans, and an accepted dump re-encodes to the bytes it was read from.
+TEST(FuzzTest, TraceDumpDecoderRoundTripsMutatedDumps) {
+  Rng rng(0x7ACE);
+  CannedTransport transport;
+  BulletClient client(&transport, Capability{});
+  int accepted = 0;
+  constexpr int kTrials = 5000;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    std::vector<wire::TraceSpan> spans(rng.next_below(9));
+    for (wire::TraceSpan& span : spans) {
+      span.trace_id = rng.next();
+      span.seq = rng.next_below(4);
+      span.opcode = static_cast<std::uint16_t>(rng.next_below(20));
+      span.stage = static_cast<std::uint8_t>(rng.next_below(12));
+      span.start_ns = rng.next();
+      span.dur_ns = rng.next();
+    }
+    Writer w;
+    w.u32(static_cast<std::uint32_t>(spans.size()));
+    for (const wire::TraceSpan& span : spans) span.encode(w);
+    transport.body = mutate(rng, w.data(), {0});
+    const Bytes& body = transport.body;
+
+    std::optional<Result<std::vector<wire::TraceSpan>>> dump;
+    EXPECT_NO_THROW(dump.emplace(client.trace_dump(0, 1024))) << trial;
+    if (!dump.has_value()) return;
+    std::uint32_t count = 0;
+    for (std::size_t i = 0; i < 4 && i < body.size(); ++i) {
+      count |= static_cast<std::uint32_t>(body[i]) << (8 * i);
+    }
+    const bool fits = body.size() >= 4 &&
+                      count <= (body.size() - 4) / wire::TraceSpan::kWireSize;
+    ASSERT_EQ(fits, dump->ok()) << "trial " << trial;
+    if (!fits) continue;
+    ++accepted;
+    ASSERT_EQ(count, dump->value().size()) << "trial " << trial;
+    Writer again;
+    again.u32(count);
+    for (const wire::TraceSpan& span : dump->value()) {
+      span.encode(again);
+      EXPECT_NE(nullptr, obs::stage_name(static_cast<obs::Stage>(span.stage)));
+    }
+    ASSERT_TRUE(equal(ByteSpan(body.data(), again.data().size()), again.data()))
+        << "trial " << trial;
   }
   EXPECT_GT(accepted, kTrials / 4);
 }

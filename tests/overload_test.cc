@@ -13,6 +13,8 @@
 #include <future>
 #include <mutex>
 #include <thread>
+#include <unordered_map>
+#include <vector>
 
 #include "bullet/client.h"
 #include "bullet/server.h"
@@ -81,7 +83,11 @@ rpc::Request gate_request(std::uint64_t tag, std::uint64_t deadline_us = 0,
   return request;
 }
 
-// Records the trailer fields of every request that reaches it.
+// Records the trailer fields of every request that reaches it. A message
+// id seen before (a retransmit that arrived after its reply was sent and
+// lost) is answered from the record kept under that id, as a service must
+// whose second run would answer differently, and is logged as a repeat
+// rather than as a new call.
 class TrailerRecorder final : public rpc::Service {
  public:
   struct Seen {
@@ -94,8 +100,17 @@ class TrailerRecorder final : public rpc::Service {
 
   rpc::Reply handle(const rpc::Request& request) override {
     std::lock_guard<std::mutex> lock(mu_);
-    seen_.push_back({request.trace_id, request.deadline_us,
-                     request.message_id});
+    const Seen arrival{request.trace_id, request.deadline_us,
+                       request.message_id};
+    const auto record = replies_.find(request.message_id);
+    if (record != replies_.end()) {
+      repeats_.push_back(arrival);
+      return rpc::Reply::success(record->second);
+    }
+    seen_.push_back(arrival);
+    if (request.message_id != 0) {
+      replies_.emplace(request.message_id, request.body);
+    }
     return rpc::Reply::success(request.body);
   }
 
@@ -104,9 +119,16 @@ class TrailerRecorder final : public rpc::Service {
     return seen_;
   }
 
+  std::vector<Seen> repeats() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return repeats_;
+  }
+
  private:
   std::mutex mu_;
   std::vector<Seen> seen_;
+  std::vector<Seen> repeats_;
+  std::unordered_map<std::uint64_t, Bytes> replies_;
 };
 
 class OverloadTest : public ::testing::Test {
@@ -216,9 +238,10 @@ TEST_F(OverloadTest, ShedRequestWithDeadlineAndMessageIdGetsPushback) {
 }
 
 TEST(OverloadRestampTest, RetransmitsKeepTheMessageIdAndShrinkTheDeadline) {
-  // Every third datagram is lost on the way in, so calls retransmit and
-  // the transport re-stamps the remaining budget on each attempt. The
-  // re-stamp must touch the deadline and nothing else in the trailer.
+  // Every third datagram is lost on the way in and every third reply on
+  // the way out, so calls retransmit and the transport re-stamps the
+  // remaining budget on each attempt. The re-stamp must touch the deadline
+  // and nothing else in the trailer.
   TrailerRecorder recorder;
   rpc::UdpServerOptions options;
   options.workers = 1;
@@ -254,6 +277,18 @@ TEST(OverloadRestampTest, RetransmitsKeepTheMessageIdAndShrinkTheDeadline) {
     EXPECT_EQ(0x7700u + i, seen[i].trace_id) << "call " << i;
     EXPECT_GT(seen[i].deadline_us, 0u) << "call " << i;
     EXPECT_LE(seen[i].deadline_us, kBudgetUs) << "call " << i;
+  }
+  // A retransmit after a lost reply reaches the service again, with the
+  // trailer of the call it repeats and a deadline still within budget.
+  const auto repeats = recorder.repeats();
+  EXPECT_GE(repeats.size(), 1u);
+  for (const auto& repeat : repeats) {
+    ASSERT_GE(repeat.message_id, 0x1234u);
+    ASSERT_LT(repeat.message_id, 0x1234u + kCalls);
+    const std::uint64_t call = repeat.message_id - 0x1234u;
+    EXPECT_EQ(0x7700u + call, repeat.trace_id) << "call " << call;
+    EXPECT_GT(repeat.deadline_us, 0u) << "call " << call;
+    EXPECT_LE(repeat.deadline_us, kBudgetUs) << "call " << call;
   }
 }
 

@@ -227,7 +227,7 @@ TEST_F(UdpTest, UnknownServicePortIsUnreachable) {
 
 TEST_F(UdpTest, SurvivesPacketLoss) {
   rpc::UdpServerOptions options;
-  options.drop_one_in = 6;  // drop ~17% of received datagrams
+  options.drop_one_in = 6;  // drop ~17% of datagrams and of replies
   options.loss_seed = 42;
   start_server(options);
   // A lost fragment costs a whole-message retransmit, so give the client
@@ -248,10 +248,11 @@ TEST_F(UdpTest, SurvivesPacketLoss) {
 }
 
 TEST_F(UdpTest, DuplicateRequestsExecuteOnce) {
-  // Drop datagrams often enough that some requests are retransmitted: a
-  // retransmit must never create a second file. While the first copy is in
-  // flight the server drops it; once answered, the server answers it from
-  // the record kept under the message id UdpTransport stamped.
+  // Drop requests and replies often enough that some creates are
+  // retransmitted: a retransmit must never create a second file. While the
+  // first copy is in flight the server drops it; once answered (the reply
+  // lost on the way back), Bullet answers it from the record kept under the
+  // message id UdpTransport stamped.
   rpc::UdpServerOptions options;
   options.drop_one_in = 3;
   options.loss_seed = 7;
@@ -268,6 +269,8 @@ TEST_F(UdpTest, DuplicateRequestsExecuteOnce) {
   EXPECT_EQ(static_cast<std::uint64_t>(kCreates), h_.server().live_files());
   EXPECT_EQ(static_cast<std::uint64_t>(kCreates),
             testing::metric(h_.server(), "bullet_creates_total"));
+  // At least one retransmit came after a lost reply and hit the record.
+  EXPECT_GE(testing::metric(h_.server(), "bullet_repl_dedup_hits_total"), 1u);
 }
 
 // The server keeps no reply once it is sent, so a retransmit that
@@ -322,9 +325,9 @@ TEST_F(UdpTest, RetransmitAfterTheReplyIsAnsweredFromTheRecord) {
   EXPECT_EQ(0u, udp_server_->duplicates_suppressed());
 }
 
-// The dir twin of DuplicateRequestsExecuteOnce: under request loss every
-// mutation still runs exactly once, so ENTER and REMOVE never see the
-// effect of their own earlier copy (already_exists, not_found).
+// The dir twin of DuplicateRequestsExecuteOnce: under request and reply
+// loss every mutation still runs exactly once, so ENTER and REMOVE never
+// see the effect of their own earlier copy (already_exists, not_found).
 TEST_F(UdpTest, DirMutationsExecuteOnceUnderLoss) {
   rpc::LoopbackTransport local;
   ASSERT_OK(local.register_service(&h_.server()));
@@ -361,6 +364,8 @@ TEST_F(UdpTest, DirMutationsExecuteOnceUnderLoss) {
   EXPECT_EQ(static_cast<std::size_t>(kRounds),
             dir_server.value()->directory_count());
   EXPECT_EQ(static_cast<std::uint64_t>(kRounds), h_.server().live_files());
+  // At least one retransmit came after a lost reply and hit the record.
+  EXPECT_GE(dir_server.value()->record_hits(), 1u);
   udp.value()->stop();
 }
 
