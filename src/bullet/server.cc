@@ -18,12 +18,13 @@ constexpr char kLog[] = "bullet";
 
 }  // namespace
 
-std::shared_lock<std::shared_mutex> BulletServer::lock_shared() const {
+std::shared_lock<std::shared_mutex> BulletServer::lock_shared(
+    bool wait) const {
   // The trace span covers the whole acquisition (near-zero when the try
   // succeeds); lock_wait_ns_ keeps counting only genuinely blocked time.
   obs::ScopedSpan span(obs::Stage::kLockShared);
   std::shared_lock<std::shared_mutex> lock(state_mu_, std::try_to_lock);
-  if (!lock.owns_lock()) {
+  if (!lock.owns_lock() && wait) {
     const auto t0 = std::chrono::steady_clock::now();
     lock.lock();
     lock_wait_ns_.fetch_add(
@@ -157,6 +158,7 @@ BulletServer::BulletServer(MirroredDisk* disk, BulletConfig config,
     e.value("bullet_rx_batches_total", io(&rpc::IoCounters::rx_batches));
     e.value("bullet_worker_wakeups_total",
             io(&rpc::IoCounters::worker_wakeups));
+    e.value("bullet_rx_fast_path_total", io(&rpc::IoCounters::rx_fast_path));
     e.value("bullet_lock_wait_ns_total", relaxed(lock_wait_ns_));
     e.value("bullet_pinned_evict_defers_total", cs.pinned_evict_defers);
     e.value("bullet_disk_inflight", qs.inflight);
@@ -517,12 +519,17 @@ void BulletServer::read_pinned_async(const Capability& cap, ReadCallback done) {
 }
 
 std::optional<Result<BulletServer::PinnedFile>> BulletServer::read_hit(
-    const Capability& cap) {
+    const Capability& cap, bool wait, std::uint64_t max_bytes) {
   // Shared lock only: capability check against the inode table, then one
   // cache lookup that touches LRU and pins in a single acquisition.
   // Immutability does the rest — nothing to copy, nothing to coordinate
   // with other readers.
-  const auto lock = lock_shared();
+  const auto lock = lock_shared(wait);
+  if (!lock.owns_lock()) return std::nullopt;
+  if (cap.object < inodes_.size() &&
+      inodes_[cap.object].size_bytes > max_bytes) {
+    return std::nullopt;
+  }
   const Result<std::uint32_t> verified = verify(cap, rights::kRead);
   if (!verified.ok()) return Result<PinnedFile>(verified.error());
   if (verified.value() == 0) {

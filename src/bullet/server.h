@@ -32,6 +32,7 @@
 #include <condition_variable>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -320,6 +321,13 @@ class BulletServer final : public rpc::Service {
   // them); every other opcode replies inline.
   void handle_async(const rpc::Request& request,
                     rpc::Responder respond) override;
+  // The UDP receive thread's fast path: a whole-file READ that hits the
+  // cache, answered under a shared lock taken only if free, or an error
+  // from the capability check. Declines, before checking the capability,
+  // a file whose reply would exceed `max_payload`; declines a miss, a
+  // contended lock and every other opcode.
+  std::optional<rpc::Reply> try_handle_now(const rpc::Request& request,
+                                           std::size_t max_payload) override;
 
   // --- introspection (tests, offline tools) -------------------------------
   struct ObjectInfo {
@@ -348,8 +356,9 @@ class BulletServer final : public rpc::Service {
 
   // Lock acquisition with contention accounting: try first (free when
   // uncontended, the common case), time only blocked acquisitions into
-  // lock_wait_ns_.
-  std::shared_lock<std::shared_mutex> lock_shared() const;
+  // lock_wait_ns_. With `wait` false a shared lock held exclusively
+  // elsewhere is not waited for: the returned lock does not own it.
+  std::shared_lock<std::shared_mutex> lock_shared(bool wait = true) const;
   std::unique_lock<std::shared_mutex> lock_exclusive() const;
 
   // The blocking adapter: run `start` with a callback, wait until the
@@ -414,8 +423,13 @@ class BulletServer final : public rpc::Service {
   // alone: the pinned file on a cache hit, or the capability check's
   // error; nullopt means a miss, which read_miss_async() serves by
   // registering (or joining) a fill. handle_async() answers a hit before
-  // it builds the continuation a miss needs.
-  std::optional<Result<PinnedFile>> read_hit(const Capability& cap);
+  // it builds the continuation a miss needs. try_handle_now() passes
+  // `wait` false, so a held exclusive lock also yields nullopt, and a
+  // `max_bytes` bound: a larger file yields nullopt before the capability
+  // is checked.
+  std::optional<Result<PinnedFile>> read_hit(
+      const Capability& cap, bool wait = true,
+      std::uint64_t max_bytes = std::numeric_limits<std::uint64_t>::max());
   void read_miss_async(const Capability& cap, ReadCallback done);
   // Completion of a read fill: validate identity, publish or roll back the
   // cache entry, deliver every waiter. Takes the exclusive lock.

@@ -23,6 +23,17 @@ rpc::Reply pinned_reply(Result<BulletServer::PinnedFile> data) {
                                       std::move(data.value().retainer));
 }
 
+// Close the request's handle span, which doubles as its service-latency
+// sample: the histogram and the trace share one sampling decision and one
+// pair of clock reads. A no-op for an unsampled request.
+void close_handle_span(obs::LatencyHistogram* latency, std::uint64_t t0) {
+  if (auto* trace = obs::RequestTrace::current()) {
+    const std::uint64_t dur = obs::now_ns() - t0;
+    trace->add_span(obs::Stage::kHandle, t0, dur);
+    if (latency != nullptr) latency->record(dur);
+  }
+}
+
 }  // namespace
 
 rpc::Reply BulletServer::cap_reply(const Result<Capability>& cap) {
@@ -81,11 +92,7 @@ void BulletServer::handle_async(const rpc::Request& request,
     }
     respond = [respond = std::move(respond), latency,
                t0 = obs::now_ns()](rpc::Reply&& reply) {
-      if (auto* trace = obs::RequestTrace::current()) {
-        const std::uint64_t dur = obs::now_ns() - t0;
-        trace->add_span(obs::Stage::kHandle, t0, dur);
-        if (latency != nullptr) latency->record(dur);
-      }
+      close_handle_span(latency, t0);
       respond(std::move(reply));
     };
   }
@@ -288,6 +295,22 @@ void BulletServer::handle_async(const rpc::Request& request,
     default:
       return respond(rpc::Reply::error(ErrorCode::not_supported));
   }
+}
+
+std::optional<rpc::Reply> BulletServer::try_handle_now(
+    const rpc::Request& request, std::size_t max_payload) {
+  // The reply is the 4-byte blob length, then the file.
+  if (request.opcode != wire::kRead || !request.body.empty() ||
+      max_payload < 4) {
+    return std::nullopt;
+  }
+  const std::uint64_t t0 =
+      obs::RequestTrace::current() != nullptr ? obs::now_ns() : 0;
+  auto hit = read_hit(request.target, /*wait=*/false, max_payload - 4);
+  if (!hit.has_value()) return std::nullopt;
+  rpc::Reply reply = pinned_reply(std::move(*hit));
+  close_handle_span(&read_latency_ns_, t0);
+  return reply;
 }
 
 // kShardMap sub-op dispatch; the caller already verified the admin right on

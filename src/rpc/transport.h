@@ -10,6 +10,8 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <mutex>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 
@@ -25,6 +27,9 @@ namespace bullet::rpc {
 struct IoCounters {
   std::atomic<std::uint64_t> rx_batches{0};     // recvmmsg calls that got data
   std::atomic<std::uint64_t> worker_wakeups{0}; // dispatch-thread wakeups
+  // Requests answered on the receive thread by Service::try_handle_now,
+  // without a queue hop or a worker wakeup.
+  std::atomic<std::uint64_t> rx_fast_path{0};
   // Overload-control plane (see udp_transport.h): requests shed with a
   // BS_PUSHBACK reply (every shed is answered), requests dropped at dequeue
   // because their deadline had already passed, and the high-water mark of
@@ -67,6 +72,37 @@ class Service {
   virtual void handle_async(const Request& request, Responder respond) {
     respond(handle(request));
   }
+
+  // The receive thread's fast path (UdpServer): answer `request` right now
+  // or decline with nullopt, and the request goes to a worker as usual. An
+  // answer must be cheap and must never block — no waiting on a lock, a
+  // device or a peer — and its payload must not exceed `max_payload`
+  // bytes, so the reply leaves in one datagram. The receive loop calls
+  // this only for a one-datagram request from an endpoint with nothing
+  // queued, executing or parked. The default declines, so a service, or a
+  // decorator that wraps one, runs every request on a worker unless it
+  // opts in.
+  virtual std::optional<Reply> try_handle_now(
+      const Request& /*request*/, std::size_t /*max_payload*/) {
+    return std::nullopt;
+  }
+};
+
+// Serializes handle() calls into a service that is not thread-safe (the
+// directory server), so a UdpServer's worker pool can serve it. It keeps
+// the default try_handle_now, so every request runs on a worker.
+class SerializedService final : public Service {
+ public:
+  explicit SerializedService(Service* inner) : inner_(inner) {}
+  Port public_port() const noexcept override { return inner_->public_port(); }
+  Reply handle(const Request& request) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    return inner_->handle(request);
+  }
+
+ private:
+  Service* inner_;
+  std::mutex mu_;
 };
 
 class Transport {

@@ -12,6 +12,7 @@
 #include <condition_variable>
 #include <cstring>
 #include <deque>
+#include <optional>
 #include <set>
 #include <unordered_map>
 
@@ -339,7 +340,8 @@ struct UdpServer::Impl : std::enable_shared_from_this<UdpServer::Impl> {
   std::atomic<std::uint64_t> dropped{0};
   std::atomic<std::uint64_t> duplicates{0};
   Rng loss_rng{1};  // RX thread only
-  // Reply-side loss: finish() runs on workers and completion threads.
+  // Reply-side loss: finish() runs on the RX thread, workers and
+  // completion threads.
   std::mutex reply_loss_mu;
   Rng reply_loss_rng{1};
 
@@ -355,17 +357,23 @@ struct UdpServer::Impl : std::enable_shared_from_this<UdpServer::Impl> {
   };
   std::unordered_map<std::uint64_t, Inbound> assembling;
 
-  // Worker-pool state (workers > 0). Each client endpoint gets an ordered
-  // queue; at most one worker drains a given client at a time, so requests
-  // from one client execute in arrival order while different clients
-  // proceed in parallel. `pending_ids` suppresses re-execution of a
-  // retransmitted request that is still queued or executing; once its reply
-  // is sent a retransmit executes again (see the header). Client entries
-  // are never erased — one small record per distinct endpoint.
+  // Worker-pool state. Each client endpoint gets an ordered queue; at most
+  // one worker drains a given client at a time, so requests from one
+  // client execute in arrival order while different clients proceed in
+  // parallel. `pending_ids` suppresses re-execution of a retransmitted
+  // request that is still queued, executing or parked; once its reply is
+  // sent a retransmit executes again (see the header). Client entries are
+  // never erased — one small record per distinct endpoint.
   struct WorkItem {
     sockaddr_in from{};
     std::uint64_t message_id = 0;
+    // The request as it arrived. A one-datagram request the RX thread
+    // offered to the fast path arrives decoded instead, with the trace the
+    // RX thread started for it (sampled or not): each request gets one
+    // sampling decision, wherever it runs.
     Bytes wire;
+    std::optional<Request> request;
+    std::unique_ptr<obs::RequestTrace> trace;
     // Trace timestamps, 0 when tracing is off: first-fragment arrival and
     // reassembly-complete/enqueue time (the queue span's start).
     std::uint64_t rx_first_ns = 0;
@@ -388,13 +396,6 @@ struct UdpServer::Impl : std::enable_shared_from_this<UdpServer::Impl> {
   bool shutdown_workers = false;
   std::vector<std::thread> workers;
 
-  // Inline-mode (workers == 0) in-flight marks: a parked continuation opens
-  // a window between dispatch and reply in which a retransmit would
-  // otherwise execute a second time. Keyed (peer, message id); inserted
-  // before dispatch on the RX thread, erased by finish() after the send.
-  std::mutex inline_mu;
-  std::set<std::pair<std::uint64_t, std::uint64_t>> inline_inflight;
-
   ~Impl() {
     if (fd >= 0) ::close(fd);
   }
@@ -414,7 +415,6 @@ struct UdpServer::Impl : std::enable_shared_from_this<UdpServer::Impl> {
     sockaddr_in from{};
     std::uint64_t peer = 0;
     std::uint64_t message_id = 0;
-    bool pooled = false;  // dispatched by a worker (vs. inline on RX)
     // The trace is heap-owned by the context (not stack-owned by
     // execute()) so it survives a park; finish() destroys it on whichever
     // thread delivers the reply, publishing the spans.
@@ -426,60 +426,69 @@ struct UdpServer::Impl : std::enable_shared_from_this<UdpServer::Impl> {
     std::atomic<bool> completed{false};
   };
 
-  // Decode and dispatch. Runs on the RX thread (inline mode) or on a
-  // worker; the reply path — gather and send — lives in finish(),
-  // which the service's responder invokes either synchronously inside
-  // handle_async() or later from a disk-completion thread. The returned
-  // context lets the caller detect a park (completed still false).
+  // The request's trace: one sampling decision, made on the thread that
+  // first decodes the request, which becomes the trace's current thread.
+  // The rx span covers fragment reassembly (timestamps captured by the RX
+  // thread, both 0 when tracing is off).
+  static std::unique_ptr<obs::RequestTrace> start_trace(
+      const Request& request, std::uint64_t rx_first_ns,
+      std::uint64_t rx_done_ns) {
+    auto trace =
+        std::make_unique<obs::RequestTrace>(request.opcode, request.trace_id);
+    if (trace->active() && rx_first_ns != 0 && rx_done_ns >= rx_first_ns) {
+      trace->add_span(obs::Stage::kRx, rx_first_ns, rx_done_ns - rx_first_ns);
+    }
+    return trace;
+  }
+
+  // Decode (unless the RX thread already did) and dispatch, on a worker;
+  // the reply path — gather and send — lives in finish(), which the
+  // service's responder invokes either synchronously inside handle_async()
+  // or later from a disk-completion thread. The returned context lets the
+  // caller detect a park (completed still false).
   //
-  // `rx_first_ns`/`rx_done_ns`/`dequeue_ns` are trace timestamps captured
-  // by the RX thread and worker loop (all 0 when tracing is off): the rx
-  // span covers fragment reassembly, the queue span covers enqueue→worker
-  // pickup. The RequestTrace is constructed here — after decode, so it
-  // knows the opcode and the client's trace id — and becomes the thread's
-  // current trace for the dispatch; the service's own spans (lock, cache,
-  // disk) attach to it, and a service that parks carries it across the
-  // continuation via RequestTrace::suspend()/resume().
-  std::shared_ptr<RespondCtx> execute(const sockaddr_in& from,
-                                      std::uint64_t peer,
-                                      std::uint64_t message_id,
-                                      const Bytes& wire, bool pooled,
-                                      std::uint64_t rx_first_ns = 0,
-                                      std::uint64_t rx_done_ns = 0,
-                                      std::uint64_t dequeue_ns = 0) {
+  // The queue span covers enqueue→worker pickup (`dequeue_ns`, 0 when
+  // tracing is off). The trace becomes the thread's current trace for the
+  // dispatch; the service's own spans (lock, cache, disk) attach to it,
+  // and a service that parks carries it across the continuation via
+  // RequestTrace::suspend()/resume().
+  std::shared_ptr<RespondCtx> execute(std::uint64_t peer, WorkItem& item,
+                                      std::uint64_t dequeue_ns) {
     auto ctx = std::make_shared<RespondCtx>();
     ctx->impl = shared_from_this();
-    ctx->from = from;
+    ctx->from = item.from;
     ctx->peer = peer;
-    ctx->message_id = message_id;
-    ctx->pooled = pooled;
-    auto request = Request::decode(wire);
-    if (!request.ok()) {
-      finish(ctx, Reply::error(ErrorCode::bad_argument));
-      return ctx;
-    }
-    ctx->trace = std::make_unique<obs::RequestTrace>(request.value().opcode,
-                                                     request.value().trace_id);
-    if (ctx->trace->active()) {
-      if (rx_first_ns != 0 && rx_done_ns >= rx_first_ns) {
-        ctx->trace->add_span(obs::Stage::kRx, rx_first_ns,
-                             rx_done_ns - rx_first_ns);
+    ctx->message_id = item.message_id;
+    if (!item.request.has_value()) {
+      auto decoded = Request::decode(item.wire);
+      if (!decoded.ok()) {
+        finish(*ctx, Reply::error(ErrorCode::bad_argument));
+        return ctx;
       }
-      if (dequeue_ns != 0 && dequeue_ns >= rx_done_ns && rx_done_ns != 0) {
-        ctx->trace->add_span(obs::Stage::kQueue, rx_done_ns,
-                             dequeue_ns - rx_done_ns);
-      }
+      item.request = std::move(decoded).value();
     }
-    Service* service = find_service(request.value().target.port.value());
+    const Request& request = *item.request;
+    if (item.trace != nullptr) {
+      ctx->trace = std::move(item.trace);
+      obs::RequestTrace::resume(ctx->trace.get());
+    } else {
+      ctx->trace = start_trace(request, item.rx_first_ns, item.rx_done_ns);
+    }
+    if (ctx->trace->active() && dequeue_ns != 0 && item.rx_done_ns != 0 &&
+        dequeue_ns >= item.rx_done_ns) {
+      ctx->trace->add_span(obs::Stage::kQueue, item.rx_done_ns,
+                           dequeue_ns - item.rx_done_ns);
+    }
+    Service* service = find_service(request.target.port.value());
     if (service == nullptr) {
-      finish(ctx, Reply::error(ErrorCode::unreachable));
+      finish(*ctx, Reply::error(ErrorCode::unreachable));
       return ctx;
     }
     // Read before dispatch: once a request parks, finish() may destroy
     // the trace on a completion thread at any moment.
     const obs::RequestTrace* const trace = ctx->trace.get();
-    service->handle_async(request.value(), [ctx](Reply&& reply) {
-      ctx->impl->finish(ctx, std::move(reply));
+    service->handle_async(request, [ctx](Reply&& reply) {
+      ctx->impl->finish(*ctx, std::move(reply));
     });
     // If the service parked without detaching the trace (it should suspend
     // before releasing this thread), detach it here so this thread does
@@ -492,11 +501,11 @@ struct UdpServer::Impl : std::enable_shared_from_this<UdpServer::Impl> {
   }
 
   // Send, then release the request's in-flight/ordering marks. Runs on
-  // the dispatching thread (synchronous services) or on whatever thread
-  // completes a parked request's disk I/O. The Reply may borrow pinned
-  // cache bytes; the pin lives until `reply` is destroyed, after the send
-  // gathered them.
-  void finish(const std::shared_ptr<RespondCtx>& ctx, Reply&& reply) {
+  // the RX thread (a fast-path answer), the dispatching worker
+  // (synchronous services) or whatever thread completes a parked request's
+  // disk I/O. The Reply may borrow pinned cache bytes; the pin lives until
+  // `reply` is destroyed, after the send gathered them.
+  void finish(RespondCtx& ctx, Reply&& reply) {
     // A retry_later reply is a shed, not an answer: make sure it carries a
     // retry-after for the client to sleep on.
     if (reply.status == ErrorCode::retry_later) {
@@ -514,7 +523,7 @@ struct UdpServer::Impl : std::enable_shared_from_this<UdpServer::Impl> {
       const auto header = reply.encode_header();
       std::vector<ByteSpan> parts{ByteSpan(header), ByteSpan(reply.body)};
       parts.insert(parts.end(), reply.segments.begin(), reply.segments.end());
-      (void)send_message_batched(fd, ctx->from, ctx->message_id, parts);
+      (void)send_message_batched(fd, ctx.from, ctx.message_id, parts);
     }
     // The marks clear only after the send, so a retransmit that arrives
     // before the reply left is dropped. One that arrives later executes
@@ -523,19 +532,12 @@ struct UdpServer::Impl : std::enable_shared_from_this<UdpServer::Impl> {
     //
     // Publish the trace (destructor clears this thread's TLS slot if the
     // trace is attached here — sync dispatch or a resumed continuation).
-    ctx->trace.reset();
-    if (ctx->pooled) {
-      // Second one through does the bookkeeping: if the dispatching worker
-      // already saw completed == true it continued draining the client
-      // itself; otherwise the client sat parked and is released here.
-      if (ctx->completed.exchange(true, std::memory_order_acq_rel)) {
-        unpark(*ctx);
-      }
-    } else {
-      ctx->completed.store(true, std::memory_order_release);
-      std::lock_guard<std::mutex> lock(inline_mu);
-      inline_inflight.erase({ctx->peer, ctx->message_id});
-    }
+    ctx.trace.reset();
+    // Second one through does the bookkeeping: if the dispatching worker
+    // already saw completed == true it continued draining the client
+    // itself; otherwise the client sat parked and is released here. A
+    // fast-path answer holds no marks, and nobody flips its flag again.
+    if (ctx.completed.exchange(true, std::memory_order_acq_rel)) unpark(ctx);
   }
 
   bool lose_reply() {
@@ -563,11 +565,50 @@ struct UdpServer::Impl : std::enable_shared_from_this<UdpServer::Impl> {
     if (notify) work_cv.notify_one();
   }
 
-  // True if `message_id` from `peer` is queued or executing right now.
-  bool in_flight(std::uint64_t peer, std::uint64_t message_id) {
+  // What the RX thread knows about an endpoint before it looks at a
+  // datagram's contents.
+  enum class Probe { kDuplicate, kBusy, kIdle };
+
+  // kDuplicate if `message_id` from `peer` is queued, executing or parked
+  // right now; otherwise kIdle when the endpoint has nothing queued,
+  // executing or parked, else kBusy. Only the RX thread makes an endpoint
+  // busy (enqueue()), so an idle answer holds until it enqueues again.
+  Probe probe(std::uint64_t peer, std::uint64_t message_id) {
     std::lock_guard<std::mutex> lock(work_mu);
     const auto it = clients.find(peer);
-    return it != clients.end() && it->second.pending_ids.count(message_id) > 0;
+    if (it == clients.end()) return Probe::kIdle;
+    if (it->second.pending_ids.count(message_id) > 0) return Probe::kDuplicate;
+    return it->second.scheduled ? Probe::kBusy : Probe::kIdle;
+  }
+
+  // The RX fast path: offer a one-datagram request from an idle endpoint
+  // to its service's try_handle_now() and send the answer from here, with
+  // no queue hop and no worker wakeup. The endpoint cannot turn busy
+  // meanwhile — this thread is its only receiver — so per-endpoint order
+  // holds without a mark. True when answered; on a decline `item` carries
+  // the decoded request and its trace to the pool.
+  bool try_answer_now(ByteSpan message, WorkItem& item) {
+    auto request = Request::decode(message);
+    if (!request.ok()) return false;  // the worker answers bad_argument
+    Service* service = find_service(request.value().target.port.value());
+    if (service == nullptr) return false;
+    auto trace =
+        start_trace(request.value(), item.rx_first_ns, item.rx_done_ns);
+    std::optional<Reply> reply = service->try_handle_now(
+        request.value(), kFragmentPayload - Reply::kHeaderSize);
+    if (reply.has_value()) {
+      io.rx_fast_path.fetch_add(1, std::memory_order_relaxed);
+      RespondCtx ctx;
+      ctx.from = item.from;
+      ctx.message_id = item.message_id;
+      ctx.trace = std::move(trace);
+      finish(ctx, std::move(*reply));
+      return true;
+    }
+    (void)obs::RequestTrace::suspend();  // a worker resumes it
+    item.trace = std::move(trace);
+    item.request = std::move(request).value();
+    return false;
   }
 
   // Retry-after advised to a shed client: proportional to the observed
@@ -584,18 +625,15 @@ struct UdpServer::Impl : std::enable_shared_from_this<UdpServer::Impl> {
   // Admission + enqueue; RX thread only. A request over the total or
   // per-client queue bound is shed in O(1) with a BS_PUSHBACK reply.
   // Retransmits of queued or executing requests never get here
-  // (handle_datagram's in-flight probe runs first), so a shed can only hit
-  // a request the server holds no state for.
-  void enqueue(const sockaddr_in& from, std::uint64_t peer,
-               std::uint64_t message_id, Bytes wire,
-               std::uint64_t rx_first_ns, std::uint64_t rx_done_ns,
-               std::uint64_t deadline_ns) {
+  // (handle_datagram's probe runs first), so a shed can only hit a
+  // request the server holds no state for.
+  void enqueue(std::uint64_t peer, WorkItem item) {
     bool shed = false;
     std::uint32_t advise_ms = 0;
     {
       std::lock_guard<std::mutex> lock(work_mu);
       ClientState& client = clients[peer];
-      if (!client.pending_ids.insert(message_id).second) {
+      if (!client.pending_ids.insert(item.message_id).second) {
         duplicates.fetch_add(1);
         return;
       }
@@ -604,13 +642,11 @@ struct UdpServer::Impl : std::enable_shared_from_this<UdpServer::Impl> {
       const bool over_client = options.max_client_queue > 0 &&
                                client.pending.size() >= options.max_client_queue;
       if (over_total || over_client) {
-        client.pending_ids.erase(message_id);
+        client.pending_ids.erase(item.message_id);
         shed = true;
         advise_ms = retry_after_ms(total_pending);
       } else {
-        client.pending.push_back(WorkItem{from, message_id, std::move(wire),
-                                          rx_first_ns, rx_done_ns,
-                                          deadline_ns});
+        client.pending.push_back(std::move(item));
         ++total_pending;
         std::uint64_t depth_max =
             io.rx_queue_depth_max.load(std::memory_order_relaxed);
@@ -628,7 +664,7 @@ struct UdpServer::Impl : std::enable_shared_from_this<UdpServer::Impl> {
     if (shed) {
       io.shed_pushback.fetch_add(1, std::memory_order_relaxed);
       const Bytes pushback = make_pushback_wire(advise_ms);
-      (void)send_message_batched(fd, from, message_id,
+      (void)send_message_batched(fd, item.from, item.message_id,
                                  ByteSpan(pushback.data(), pushback.size()));
     }
   }
@@ -660,9 +696,8 @@ struct UdpServer::Impl : std::enable_shared_from_this<UdpServer::Impl> {
         lock.unlock();
         const std::uint64_t dequeue_ns =
             item.rx_done_ns != 0 ? obs::now_ns() : 0;
-        auto ctx = execute(item.from, peer, item.message_id, item.wire,
-                           /*pooled=*/true, item.rx_first_ns, item.rx_done_ns,
-                           dequeue_ns);
+        const std::uint64_t message_id = item.message_id;
+        auto ctx = execute(peer, item, dequeue_ns);
         const bool finished =
             ctx->completed.exchange(true, std::memory_order_acq_rel);
         lock.lock();
@@ -675,7 +710,7 @@ struct UdpServer::Impl : std::enable_shared_from_this<UdpServer::Impl> {
           parked = true;
           break;
         }
-        client.pending_ids.erase(item.message_id);
+        client.pending_ids.erase(message_id);
         if (shutdown_workers) return;
       }
       if (!parked) client.scheduled = false;
@@ -692,61 +727,52 @@ struct UdpServer::Impl : std::enable_shared_from_this<UdpServer::Impl> {
     if (!fragment.ok()) return;
 
     const std::uint64_t peer = peer_key(from);
-    const std::uint64_t message_id = fragment.value().message_id;
+    WorkItem item;
+    item.from = from;
+    item.message_id = fragment.value().message_id;
 
     // Retransmit of something queued or executing (including parked on
     // async I/O)? The reply is on its way; answering again would
     // double-execute.
-    if (!workers.empty()) {
-      if (in_flight(peer, message_id)) {
-        duplicates.fetch_add(1);
-        return;
-      }
-    } else {
-      std::lock_guard<std::mutex> lock(inline_mu);
-      if (inline_inflight.count({peer, message_id}) > 0) {
-        duplicates.fetch_add(1);
-        return;
-      }
+    const Probe state = probe(peer, item.message_id);
+    if (state == Probe::kDuplicate) {
+      duplicates.fetch_add(1);
+      return;
     }
 
-    Bytes wire;
-    std::uint64_t rx_first_ns = 0;
-    if (fragment.value().count == 1) {
+    ByteSpan message;  // the whole request: the datagram's or item.wire
+    const bool one_datagram = fragment.value().count == 1;
+    if (one_datagram) {
       if (!assembling.empty()) assembling.erase(peer);
-      rx_first_ns = obs::tracing_enabled() ? obs::now_ns() : 0;
-      wire.assign(fragment.value().payload.begin(),
-                  fragment.value().payload.end());
+      item.rx_first_ns = obs::tracing_enabled() ? obs::now_ns() : 0;
+      message = fragment.value().payload;
     } else {
       Inbound& inbound = assembling[peer];
-      if (inbound.message.message_id() != message_id) {
-        inbound.message.reset(message_id);
+      if (inbound.message.message_id() != item.message_id) {
+        inbound.message.reset(item.message_id);
         inbound.first_ns = obs::tracing_enabled() ? obs::now_ns() : 0;
       }
       if (!inbound.message.add(fragment.value())) return;
-      rx_first_ns = inbound.first_ns;
-      wire = inbound.message.take();
+      item.rx_first_ns = inbound.first_ns;
+      item.wire = inbound.message.take();
       assembling.erase(peer);
+      message = ByteSpan(item.wire);
     }
-    const std::uint64_t rx_done_ns = rx_first_ns != 0 ? obs::now_ns() : 0;
+    item.rx_done_ns = item.rx_first_ns != 0 ? obs::now_ns() : 0;
 
-    if (workers.empty()) {
-      // Inline mode executes immediately — there is no queue to bound and
-      // no queueing delay to expire, so admission control does not apply.
-      {
-        std::lock_guard<std::mutex> lock(inline_mu);
-        inline_inflight.insert({peer, message_id});
-      }
-      (void)execute(from, peer, message_id, wire, /*pooled=*/false,
-                    rx_first_ns, rx_done_ns);
-    } else {
-      const std::uint64_t deadline_us =
-          Request::peek_deadline_us(ByteSpan(wire));
-      const std::uint64_t deadline_ns =
-          deadline_us != 0 ? obs::now_ns() + deadline_us * 1000 : 0;
-      enqueue(from, peer, message_id, std::move(wire), rx_first_ns,
-              rx_done_ns, deadline_ns);
+    if (state == Probe::kIdle && one_datagram &&
+        try_answer_now(message, item)) {
+      return;
     }
+    if (one_datagram && !item.request.has_value()) {
+      item.wire.assign(message.begin(), message.end());
+    }
+    const std::uint64_t deadline_us =
+        item.request.has_value() ? item.request->deadline_us
+                                 : Request::peek_deadline_us(message);
+    item.deadline_ns =
+        deadline_us != 0 ? obs::now_ns() + deadline_us * 1000 : 0;
+    enqueue(peer, std::move(item));
   }
 
   void rx_loop() {
@@ -771,6 +797,9 @@ struct UdpServer::Impl : std::enable_shared_from_this<UdpServer::Impl> {
 UdpServer::UdpServer(std::shared_ptr<Impl> impl) : impl_(std::move(impl)) {}
 
 Result<std::unique_ptr<UdpServer>> UdpServer::start(UdpServerOptions options) {
+  if (options.workers == 0) {
+    return Error(ErrorCode::bad_argument, "a UdpServer needs a worker");
+  }
   auto impl = std::make_shared<Impl>();
   impl->options = options;
   impl->loss_rng.reseed(options.loss_seed);
@@ -838,6 +867,9 @@ struct UdpTransport::Impl {
   // reply wait belong to one caller at a time.
   std::mutex call_mu;
   std::uint64_t next_message_id = 1;
+  // The socket's SO_RCVTIMEO in ms (0 = none set), so call() pays the
+  // setsockopt only when an attempt needs a different timeout.
+  int recv_timeout_ms = 0;
 
   // Reused across calls (call_mu serializes them); made by the first.
   std::unique_ptr<ReceiveRing> ring;
@@ -882,6 +914,7 @@ Result<std::unique_ptr<UdpTransport>> UdpTransport::connect(
   impl->options = options;
   impl->server = loopback(options.server_udp_port);
   BULLET_ASSIGN_OR_RETURN(impl->fd, make_socket(0, options.timeout_ms));
+  impl->recv_timeout_ms = std::max(0, options.timeout_ms);
   return std::unique_ptr<UdpTransport>(new UdpTransport(std::move(impl)));
 }
 
@@ -938,7 +971,10 @@ Result<Reply> UdpTransport::call(const Request& request) {
       timeout_ms = static_cast<int>(std::min<std::int64_t>(
           timeout_ms, std::max<std::int64_t>(1, remaining_us / 1000)));
     }
-    BULLET_RETURN_IF_ERROR(set_recv_timeout(impl_->fd, timeout_ms));
+    if (timeout_ms != impl_->recv_timeout_ms) {
+      BULLET_RETURN_IF_ERROR(set_recv_timeout(impl_->fd, timeout_ms));
+      impl_->recv_timeout_ms = timeout_ms;
+    }
     BULLET_RETURN_IF_ERROR(
         send_message_batched(impl_->fd, impl_->server, message_id, wire));
     BULLET_ASSIGN_OR_RETURN(const bool complete,

@@ -18,18 +18,22 @@
 //    from its own record — the one at-most-once layer (DESIGN.md §11);
 //  * optional deterministic packet-loss injection for tests.
 //
-// Threading: one receive thread drains the socket in recvmmsg batches and
-// reassembles fragments. With `workers == 0` (the default) it also executes
-// requests inline — the legacy single-threaded mode, where registered
-// services are called from exactly one thread. With `workers > 0` complete
-// requests are handed to a pool of dispatch threads through per-client
-// ordered queues: requests from one client endpoint execute one at a time
-// in arrival order (preserving the in-flight suppression), while requests
-// from different clients execute concurrently — services must be
-// thread-safe in this mode. Every message — request, reply, pushback — is
-// sent by one sendmmsg gather: each datagram is its fragment header plus
-// one iovec per slice of the message's parts, so a READ reply leaves
-// straight from the pinned cache span and is never copied.
+// Threading: one receive (RX) thread drains the socket in recvmmsg
+// batches and reassembles fragments; a pool of `workers` dispatch threads
+// executes requests through per-client ordered queues. Requests from one
+// client endpoint execute one at a time in arrival order (preserving the
+// in-flight suppression), while requests from different clients execute
+// concurrently — services must be thread-safe (rpc::SerializedService
+// wraps one that is not). The RX thread answers a request itself, with no
+// queue hop, only when it arrived in one datagram from an endpoint with
+// nothing queued, executing or parked, and its service's try_handle_now()
+// accepts it: an answer that never blocks and fits one datagram, such as
+// a Bullet cache-hit READ. Every other request goes to the pool, so the
+// receive loop never waits on a lock, a device, a peer or a large send.
+// Every message — request, reply, pushback — is sent by one sendmmsg
+// gather: each datagram is its fragment header plus one iovec per slice
+// of the message's parts, so a READ reply leaves straight from the pinned
+// cache span and is never copied.
 //
 // Continuations: requests are dispatched through Service::handle_async().
 // A service may defer its reply (e.g. a cache-miss read that submits disk
@@ -131,14 +135,11 @@ struct UdpServerOptions {
   // must answer.
   std::uint32_t drop_one_in = 0;
   std::uint64_t loss_seed = 1;
-  // Dispatch threads. 0 = execute requests inline on the receive thread
-  // (single-threaded services); N > 0 = concurrent execution, services
-  // must be thread-safe.
-  unsigned workers = 0;
-  // Admission control (worker-pool mode only; inline mode has no queue to
-  // bound). A request that arrives when `max_queue` requests are already
-  // queued across all clients, or `max_client_queue` from its own
-  // endpoint, is shed in O(1) without touching a service: the client gets
+  // Dispatch threads; at least one (start() rejects 0 with bad_argument).
+  unsigned workers = 2;
+  // Admission control. A request that arrives when `max_queue` requests
+  // are already queued across all clients, or `max_client_queue` from its
+  // own endpoint, is shed in O(1) without touching a service: the client gets
   // a BS_PUSHBACK reply carrying a retry-after delay scaled by the current
   // queue depth, sleeps it and resends (UdpTransport::call). A queued
   // request whose deadline runs out before a worker reaches it is dropped
@@ -153,7 +154,7 @@ struct UdpServerOptions {
 class UdpServer {
  public:
   // Binds 127.0.0.1:<udp_port> and starts the receive thread plus
-  // `options.workers` dispatch threads.
+  // `options.workers` dispatch threads; bad_argument when workers is 0.
   static Result<std::unique_ptr<UdpServer>> start(UdpServerOptions options);
 
   ~UdpServer();

@@ -116,6 +116,16 @@ class DaemonTest : public ::testing::Test {
   pid_t pid_ = -1;
 };
 
+// Requests execute on the worker pool, so the daemon refuses to run
+// without a worker, before it touches the image.
+TEST_F(DaemonTest, ZeroWorkersIsRejected) {
+  const int code = run(std::string(BULLET_SERVER_PATH) + " --image " +
+                       image_ + " --workers 0");
+  EXPECT_EQ(2, code);
+  std::ifstream image(image_);
+  EXPECT_FALSE(image.good());
+}
+
 TEST_F(DaemonTest, FullOperatorWorkflowWithRestart) {
   // Provision.
   ASSERT_EQ(0, run(std::string(BULLET_TOOL_PATH) + " format " + image_ +

@@ -112,7 +112,8 @@ TEST(IntegrationTest, KvStoreOverRealNetwork) {
   BulletClient storage(&loopback, h.server().super_capability());
   auto dir_server = dir::DirServer::start(storage, dir::DirConfig());
   ASSERT_TRUE(dir_server.ok());
-  ASSERT_OK(udp.value()->register_service(dir_server.value().get()));
+  rpc::SerializedService dir_service(dir_server.value().get());
+  ASSERT_OK(udp.value()->register_service(&dir_service));
 
   rpc::UdpClientOptions options;
   options.server_udp_port = udp.value()->port();

@@ -1,6 +1,7 @@
 // Trace propagation end to end: a client-supplied trace id rides the
 // request trailer, the server's spans carry it, and BS_TRACE_DUMP returns
-// the complete rx→tx chain — for a cache-hit READ and a P-FACTOR=2 CREATE
+// the complete rx→tx chain — for a cache-hit READ answered on the UDP
+// receive thread, and for a cache-miss READ and a P-FACTOR=2 CREATE
 // through the real UDP worker pool.
 #include <gtest/gtest.h>
 
@@ -59,6 +60,16 @@ class TraceTest : public ::testing::Test {
 
 TEST_F(TraceTest, ClientIdPropagatesThroughWorkerPool) {
   BulletHarness h;
+  Bytes data(8192);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<std::uint8_t>(i * 31);
+  }
+  // A file written before the server boots again, so its first READ
+  // misses the cache.
+  auto cold = h.server().create(data, 1);
+  ASSERT_TRUE(cold.ok());
+  h.reboot();
+
   rpc::UdpServerOptions server_options;
   server_options.workers = 2;
   auto udp = rpc::UdpServer::start(server_options);
@@ -72,18 +83,29 @@ TEST_F(TraceTest, ClientIdPropagatesThroughWorkerPool) {
   ASSERT_TRUE(transport.ok());
   BulletClient client(transport.value().get(), h.server().super_capability());
 
+  // Traced cache-miss READ: through the pool and the disk.
+  client.set_trace_id(0xC01D);
+  auto miss = client.read(cold.value());
+  ASSERT_TRUE(miss.ok());
+  EXPECT_EQ(data, miss.value());
+
   // Untraced create primes the cache (create inserts into it), so the
   // traced read below is a cache hit.
-  Bytes data(8192);
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    data[i] = static_cast<std::uint8_t>(i * 31);
-  }
+  client.set_trace_id(0);
   auto cap = client.create(data, 1);
   ASSERT_TRUE(cap.ok());
 
-  // Traced cache-hit READ.
-  client.set_trace_id(0xFEEDFACE);
-  auto read = client.read(cap.value());
+  // Traced cache-hit READ: answered on the receive thread. It comes from
+  // a second connection: the endpoint above may still count as busy for
+  // a moment after its reply left (the worker clears its marks after the
+  // send), and the receive thread hands a busy endpoint's requests to the
+  // pool.
+  auto reader = rpc::UdpTransport::connect(client_options);
+  ASSERT_TRUE(reader.ok());
+  BulletClient hot_client(reader.value().get(),
+                          h.server().super_capability());
+  hot_client.set_trace_id(0xFEEDFACE);
+  auto read = hot_client.read(cap.value());
   ASSERT_TRUE(read.ok());
   EXPECT_EQ(data, read.value());
 
@@ -104,20 +126,37 @@ TEST_F(TraceTest, ClientIdPropagatesThroughWorkerPool) {
     return nullptr;
   };
 
-  // The READ chain: complete rx→tx through queue, lock, cache.
+  // The hit chain: complete rx→tx through lock and cache, with no queue
+  // hop — the receive thread answered it.
   const Chain* read_chain = find_chain(0xFEEDFACE);
   ASSERT_NE(nullptr, read_chain);
   EXPECT_EQ(wire::kRead, read_chain->opcode);
   for (const obs::Stage stage :
-       {obs::Stage::kRx, obs::Stage::kQueue, obs::Stage::kHandle,
-        obs::Stage::kLockShared, obs::Stage::kCache, obs::Stage::kTx}) {
+       {obs::Stage::kRx, obs::Stage::kLockShared, obs::Stage::kCache,
+        obs::Stage::kHandle, obs::Stage::kTx}) {
     EXPECT_TRUE(read_chain->has_stage(stage))
         << "read chain missing " << obs::stage_name(stage);
   }
+  EXPECT_FALSE(read_chain->has_stage(obs::Stage::kQueue));
   // The reply leaves from the cache span and no copy of it is kept.
   EXPECT_FALSE(read_chain->has_stage(obs::Stage::kEncode));
   // A cache hit never touches the disk.
   EXPECT_FALSE(read_chain->has_stage(obs::Stage::kDiskRead));
+
+  // The miss chain: declined by the receive thread, so it queues for a
+  // worker, which reads the disk. One chain, one sampling decision.
+  const Chain* miss_chain = find_chain(0xC01D);
+  ASSERT_NE(nullptr, miss_chain);
+  EXPECT_EQ(wire::kRead, miss_chain->opcode);
+  for (const obs::Stage stage :
+       {obs::Stage::kRx, obs::Stage::kQueue, obs::Stage::kHandle,
+        obs::Stage::kLockExcl, obs::Stage::kDiskRead, obs::Stage::kTx}) {
+    EXPECT_TRUE(miss_chain->has_stage(stage))
+        << "miss chain missing " << obs::stage_name(stage);
+  }
+  EXPECT_EQ(1, std::count_if(chains.begin(), chains.end(), [](const Chain& c) {
+              return c.trace_id == 0xC01D;
+            }));
 
   // The CREATE chain: exclusive lock and foreground replica writes.
   const Chain* create_chain = find_chain(0xC0FFEE);
@@ -133,7 +172,7 @@ TEST_F(TraceTest, ClientIdPropagatesThroughWorkerPool) {
 
   // Every span in a chain carries the same id/seq/opcode, and the handle
   // span nests inside the chain's wall-clock window.
-  for (const Chain* chain : {read_chain, create_chain}) {
+  for (const Chain* chain : {read_chain, miss_chain, create_chain}) {
     std::uint64_t lo = ~std::uint64_t{0}, hi = 0;
     for (const wire::TraceSpan& s : chain->spans) {
       EXPECT_EQ(chain->trace_id, s.trace_id);
@@ -150,6 +189,7 @@ TEST_F(TraceTest, ClientIdPropagatesThroughWorkerPool) {
   ASSERT_TRUE(empty.ok());
   for (const Chain& c : group_chains(empty.value())) {
     EXPECT_NE(0xFEEDFACEu, c.trace_id);
+    EXPECT_NE(0xC01Du, c.trace_id);
     EXPECT_NE(0xC0FFEEu, c.trace_id);
   }
 

@@ -1,10 +1,14 @@
 // Tests for the real UDP transport: end-to-end RPC over loopback sockets,
 // fragmentation of large messages, packet loss + retransmission, duplicate
-// suppression (at-most-once execution).
+// suppression (at-most-once execution), and the receive thread's fast
+// path beside the worker pool.
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <mutex>
+#include <set>
 #include <string>
+#include <thread>
 
 #include "bullet/client.h"
 #include "bullet/server.h"
@@ -284,17 +288,23 @@ TEST_F(UdpTest, RetransmitAfterTheReplyIsAnsweredFromTheRecord) {
   auto dir_server = dir::DirServer::start(
       BulletClient(&local, h_.server().super_capability()), dir::DirConfig());
   ASSERT_TRUE(dir_server.ok());
-  ASSERT_OK(udp_server_->register_service(dir_server.value().get()));
+  rpc::SerializedService dir_service(dir_server.value().get());
+  ASSERT_OK(udp_server_->register_service(&dir_service));
   testing::RawUdpEndpoint raw(udp_server_->port());
   // Send `request` as fragment message `id`, wait for the reply, then
-  // retransmit it: both answers must be identical.
+  // retransmit it: both answers must be identical. The worker clears the
+  // in-flight mark just after its send, so a retransmit landing in between
+  // is dropped; retry as a client would until the service answers it.
   const auto send_twice = [&](const rpc::Request& request, std::uint64_t id) {
     const Bytes wire_request = request.encode();
     raw.send_message(id, wire_request);
     const std::optional<Bytes> first = raw.receive(id, 2000);
     ASSERT_TRUE(first.has_value());
-    raw.send_message(id, wire_request);
-    const std::optional<Bytes> again = raw.receive(id, 2000);
+    std::optional<Bytes> again;
+    for (int attempt = 0; attempt < 20 && !again; ++attempt) {
+      raw.send_message(id, wire_request);
+      again = raw.receive(id, 500);
+    }
     ASSERT_TRUE(again.has_value());
     EXPECT_TRUE(equal(*first, *again));
     auto reply = rpc::Reply::decode(*first);
@@ -322,7 +332,9 @@ TEST_F(UdpTest, RetransmitAfterTheReplyIsAnsweredFromTheRecord) {
   send_twice(create_dir, 8);
   EXPECT_EQ(1u, dir_server.value()->directory_count());
   EXPECT_EQ(2u, h_.server().live_files());  // the directory's one file
-  EXPECT_EQ(0u, udp_server_->duplicates_suppressed());
+  // The answer to each retransmit came from its service's record.
+  EXPECT_EQ(1u, dir_server.value()->record_hits());
+  EXPECT_EQ(1u, testing::metric(h_.server(), "bullet_repl_dedup_hits_total"));
 }
 
 // The dir twin of DuplicateRequestsExecuteOnce: under request and reply
@@ -339,7 +351,8 @@ TEST_F(UdpTest, DirMutationsExecuteOnceUnderLoss) {
   options.loss_seed = 7;
   auto udp = rpc::UdpServer::start(options);
   ASSERT_TRUE(udp.ok());
-  ASSERT_OK(udp.value()->register_service(dir_server.value().get()));
+  rpc::SerializedService dir_service(dir_server.value().get());
+  ASSERT_OK(udp.value()->register_service(&dir_service));
   rpc::UdpClientOptions client_options;
   client_options.server_udp_port = udp.value()->port();
   client_options.timeout_ms = 60;
@@ -383,6 +396,12 @@ TEST_F(UdpTest, TimeoutWhenServerGone) {
   request.target = h_.server().super_capability();
   request.opcode = wire::kSize;
   EXPECT_CODE(unreachable, status_of(transport.value()->call(request)));
+}
+
+TEST_F(UdpTest, StartRejectsZeroWorkers) {
+  rpc::UdpServerOptions options;
+  options.workers = 0;
+  EXPECT_CODE(bad_argument, status_of(rpc::UdpServer::start(options)));
 }
 
 TEST_F(UdpTest, ConnectRequiresPort) {
@@ -511,6 +530,257 @@ TEST_F(UdpTest, TwoClientsOneServer) {
   auto via_c2 = c2.read_whole(cap.value());
   ASSERT_TRUE(via_c2.ok());
   EXPECT_EQ("shared", to_string(via_c2.value()));
+}
+
+// --- the receive thread's fast path ------------------------------------------
+
+// A READ request for `cap`, as a client puts it on the wire.
+Bytes read_request(const Capability& cap) {
+  rpc::Request request;
+  request.target = cap;
+  request.opcode = wire::kRead;
+  return request.encode();
+}
+
+// The file bytes of an encoded READ reply.
+Bytes read_reply_data(const Bytes& wire_reply) {
+  auto reply = rpc::Reply::decode(wire_reply);
+  EXPECT_TRUE(reply.ok());
+  if (!reply.ok()) return {};
+  EXPECT_EQ(ErrorCode::ok, reply.value().status);
+  Reader r(reply.value().body);
+  auto bytes = r.blob();
+  EXPECT_TRUE(bytes.ok());
+  return bytes.ok() ? Bytes(bytes.value().begin(), bytes.value().end())
+                    : Bytes{};
+}
+
+class UdpFastPathTest : public UdpTest {
+ protected:
+  // Files created before the server boots again, so each READ below starts
+  // as a miss; then the front door, its counters attached.
+  void SetUp() override {
+    small_ = payload(4096, 1);
+    large_ = payload(64 * 1024, 2);
+    auto small = h_.server().create(small_, 1);
+    auto large = h_.server().create(large_, 1);
+    ASSERT_TRUE(small.ok() && large.ok());
+    small_cap_ = small.value();
+    large_cap_ = large.value();
+    h_.reboot();
+    start_server();
+    h_.server().attach_io_counters(&udp_server_->io_counters());
+  }
+  void TearDown() override {
+    if (udp_server_ != nullptr) udp_server_->stop();
+    h_.server().attach_io_counters(nullptr);
+  }
+
+  std::uint64_t wakeups() {
+    return testing::metric(h_.server(), "bullet_worker_wakeups_total");
+  }
+  std::uint64_t fast() {
+    return testing::metric(h_.server(), "bullet_rx_fast_path_total");
+  }
+
+  Bytes small_, large_;
+  Capability small_cap_, large_cap_;
+};
+
+TEST_F(UdpFastPathTest, SmallHitIsAnsweredWithoutAWorker) {
+  // The first READ misses and fills the cache on a worker.
+  {
+    auto warm = connect();
+    auto miss = BulletClient(warm.get(), h_.server().super_capability())
+                    .read(small_cap_);
+    ASSERT_TRUE(miss.ok());
+    EXPECT_TRUE(equal(small_, miss.value()));
+  }
+  EXPECT_EQ(0u, fast());
+  const std::uint64_t wakeups_before = wakeups();
+  ASSERT_GE(wakeups_before, 1u);
+
+  // The hit, from an endpoint with nothing in flight: answered on the
+  // receive thread, no worker woken.
+  auto transport = connect();
+  BulletClient client(transport.get(), h_.server().super_capability());
+  auto hit = client.read(small_cap_);
+  ASSERT_TRUE(hit.ok());
+  EXPECT_TRUE(equal(small_, hit.value()));
+  EXPECT_EQ(1u, fast());
+  EXPECT_EQ(wakeups_before, wakeups());
+  EXPECT_EQ(1u, testing::metric(h_.server(), "bullet_cache_hits_total"));
+
+  // A forged capability is refused on the fast path too.
+  Capability forged = small_cap_;
+  forged.check ^= 1;
+  EXPECT_CODE(bad_capability, status_of(client.read(forged)));
+  EXPECT_EQ(2u, fast());
+  EXPECT_EQ(wakeups_before, wakeups());
+}
+
+TEST_F(UdpFastPathTest, TwoFragmentHitAndMissGoThroughThePool) {
+  auto transport = connect();
+  BulletClient client(transport.get(), h_.server().super_capability());
+  for (int i = 0; i < 2; ++i) {  // a miss, then a hit
+    auto read = client.read(large_cap_);
+    ASSERT_TRUE(read.ok()) << i;
+    EXPECT_TRUE(equal(large_, read.value())) << i;
+  }
+  EXPECT_EQ(1u, testing::metric(h_.server(), "bullet_cache_hits_total"));
+  // A small miss goes to the pool as well.
+  auto miss = client.read(small_cap_);
+  ASSERT_TRUE(miss.ok());
+  EXPECT_TRUE(equal(small_, miss.value()));
+  // Whatever the receive thread does not answer, a worker does.
+  EXPECT_EQ(0u, fast());
+  EXPECT_GE(wakeups(), 1u);
+}
+
+// A miss parked on the disk owns its endpoint: a hit sent after it from the
+// same endpoint waits behind it on the pool instead of overtaking it on the
+// receive thread, and the two replies come back in request order.
+TEST(UdpFastPathOrderTest, HitWaitsBehindAParkedMissFromItsEndpoint) {
+  MemDisk main(512, 4096), mirror_disk(512, 4096);
+  ASSERT_OK(BulletServer::format(main, 64));
+  ASSERT_OK(mirror_disk.restore(main.snapshot()));
+  testing::GatedDisk gate(&main);
+  auto mirror = MirroredDisk::create({&gate, &mirror_disk});
+  ASSERT_TRUE(mirror.ok());
+  MirroredDisk disk = std::move(mirror).value();
+  BulletConfig config;
+  config.cache_bytes = 1 << 20;
+  config.io_threads = 1;
+  const Bytes cold_data = payload(3000, 3);
+  const Bytes hot_data = payload(2000, 4);
+  Capability cold, hot;
+  {
+    auto server = BulletServer::start(&disk, config);
+    ASSERT_TRUE(server.ok());
+    auto c = server.value()->create(cold_data, 2);
+    auto h = server.value()->create(hot_data, 2);
+    ASSERT_TRUE(c.ok() && h.ok());
+    cold = c.value();
+    hot = h.value();
+  }
+  // Fresh boot: the cold file misses; the hot one is read in once.
+  auto started = BulletServer::start(&disk, config);
+  ASSERT_TRUE(started.ok());
+  BulletServer& server = *started.value();
+  ASSERT_TRUE(server.read(hot).ok());
+  std::uint32_t cold_block = 0;
+  for (const auto& object : server.list_objects()) {
+    if (object.object == cold.object) cold_block = object.first_block;
+  }
+  ASSERT_NE(0u, cold_block);
+  gate.arm(cold_block, (cold_data.size() + 511) / 512);
+
+  auto udp = rpc::UdpServer::start(rpc::UdpServerOptions{});
+  ASSERT_TRUE(udp.ok());
+  ASSERT_OK(udp.value()->register_service(&server));
+  server.attach_io_counters(&udp.value()->io_counters());
+  testing::RawUdpEndpoint raw(udp.value()->port());
+
+  raw.send_message(1, read_request(cold));
+  gate.wait_held(1);
+  raw.send_message(2, read_request(hot));
+  EXPECT_FALSE(raw.receive(2, 100).has_value());  // queued, not answered
+  EXPECT_EQ(0u, testing::metric(server, "bullet_rx_fast_path_total"));
+
+  gate.release();
+  // receive() drops datagrams of other messages, so the hit's reply
+  // arriving first would be lost here and its receive below would fail.
+  const std::optional<Bytes> first = raw.receive(1, 2000);
+  ASSERT_TRUE(first.has_value());
+  EXPECT_TRUE(equal(cold_data, read_reply_data(*first)));
+  const std::optional<Bytes> second = raw.receive(2, 2000);
+  ASSERT_TRUE(second.has_value());
+  EXPECT_TRUE(equal(hot_data, read_reply_data(*second)));
+  EXPECT_EQ(0u, testing::metric(server, "bullet_rx_fast_path_total"));
+
+  // Once the endpoint is idle again its hits take the fast path. The
+  // worker clears its marks just after its send, so a request sent the
+  // moment a reply lands may still find the endpoint busy and queue: send
+  // hits until one is answered on the receive thread.
+  for (std::uint64_t id = 3;
+       id < 23 && testing::metric(server, "bullet_rx_fast_path_total") == 0;
+       ++id) {
+    raw.send_message(id, read_request(hot));
+    const std::optional<Bytes> again = raw.receive(id, 2000);
+    ASSERT_TRUE(again.has_value());
+    EXPECT_TRUE(equal(hot_data, read_reply_data(*again)));
+  }
+  EXPECT_EQ(1u, testing::metric(server, "bullet_rx_fast_path_total"));
+  udp.value()->stop();
+  server.attach_io_counters(nullptr);
+}
+
+// A decorator that keeps the default try_handle_now: the requests it wraps
+// all run on the pool, even the cache hits its inner service would answer
+// on the receive thread.
+class ThreadRecordingService final : public rpc::Service {
+ public:
+  explicit ThreadRecordingService(rpc::Service* inner) : inner_(inner) {}
+  Port public_port() const noexcept override { return inner_->public_port(); }
+  rpc::Reply handle(const rpc::Request& request) override {
+    return inner_->handle(request);
+  }
+  void handle_async(const rpc::Request& request,
+                    rpc::Responder respond) override {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      threads_.insert(std::this_thread::get_id());
+      ++calls_;
+    }
+    inner_->handle_async(request, std::move(respond));
+  }
+  std::set<std::thread::id> threads() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return threads_;
+  }
+  int calls() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return calls_;
+  }
+
+ private:
+  rpc::Service* inner_;
+  std::mutex mu_;
+  std::set<std::thread::id> threads_;
+  int calls_ = 0;
+};
+
+TEST(UdpFastPathDecoratorTest, WrapperWithoutTheHookRunsEveryRequestOnAWorker) {
+  BulletHarness h;
+  ThreadRecordingService wrapper(&h.server());
+  rpc::UdpServerOptions options;
+  options.workers = 1;  // so every request the pool runs shares one thread
+  auto udp = rpc::UdpServer::start(options);
+  ASSERT_TRUE(udp.ok());
+  ASSERT_OK(udp.value()->register_service(&wrapper));
+  h.server().attach_io_counters(&udp.value()->io_counters());
+  rpc::UdpClientOptions client_options;
+  client_options.server_udp_port = udp.value()->port();
+  auto transport = rpc::UdpTransport::connect(client_options);
+  ASSERT_TRUE(transport.ok());
+  BulletClient client(transport.value().get(), h.server().super_capability());
+
+  const Bytes data = payload(4096, 5);
+  auto cap = client.create(data, 1);
+  ASSERT_TRUE(cap.ok());
+  constexpr int kReads = 5;  // all cache hits
+  for (int i = 0; i < kReads; ++i) {
+    auto read = client.read(cap.value());
+    ASSERT_TRUE(read.ok());
+    EXPECT_TRUE(equal(data, read.value()));
+  }
+  EXPECT_EQ(1 + kReads, wrapper.calls());
+  EXPECT_EQ(1u, wrapper.threads().size());
+  EXPECT_EQ(0u, testing::metric(h.server(), "bullet_rx_fast_path_total"));
+  EXPECT_EQ(static_cast<std::uint64_t>(kReads),
+            testing::metric(h.server(), "bullet_cache_hits_total"));
+  udp.value()->stop();
+  h.server().attach_io_counters(nullptr);
 }
 
 }  // namespace

@@ -20,7 +20,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -50,23 +49,6 @@ int usage() {
                "[--peer UDP-PORT --role primary|backup]\n");
   return 2;
 }
-
-// The directory server is single-threaded; when the UDP front door runs a
-// worker pool, its dispatch is serialized through this adapter (the Bullet
-// server itself is thread-safe and registered directly).
-class SerializedService final : public rpc::Service {
- public:
-  explicit SerializedService(rpc::Service* inner) : inner_(inner) {}
-  Port public_port() const noexcept override { return inner_->public_port(); }
-  rpc::Reply handle(const rpc::Request& request) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    return inner_->handle(request);
-  }
-
- private:
-  rpc::Service* inner_;
-  std::mutex mu_;
-};
 
 struct BootstrapFile {
   // The persisted pair: directory-state snapshot + root directory cap.
@@ -196,6 +178,12 @@ int main(int argc, char** argv) {
     }
   }
   if (images.empty() || images.size() > 2) return usage();
+  if (workers == 0) {
+    // Requests execute on the worker pool (the receive thread answers only
+    // what rpc::Service::try_handle_now accepts), so it needs a thread.
+    std::fprintf(stderr, "bad argument: --workers must be at least 1\n");
+    return 2;
+  }
   if ((peer_port != 0) != (role != BulletServer::ReplRole::kSolo)) {
     std::fprintf(stderr, "--peer and --role go together\n");
     return usage();
@@ -315,7 +303,9 @@ int main(int argc, char** argv) {
     return 1;
   }
   server.value()->attach_io_counters(&udp.value()->io_counters());
-  SerializedService dir_service(dir_server.value().get());
+  // The directory server is single-threaded; the Bullet server is
+  // thread-safe and registered directly.
+  rpc::SerializedService dir_service(dir_server.value().get());
   (void)udp.value()->register_service(server.value().get());
   (void)udp.value()->register_service(&dir_service);
 
