@@ -117,10 +117,10 @@ void BulletServer::release_slot_locked(std::uint32_t index) {
 bool BulletServer::dedup_lookup(std::uint64_t message_id, rpc::Reply* out) {
   if (message_id == 0) return false;
   std::lock_guard lock(repl_mu_);
-  const auto it = dedup_.find(message_id);
-  if (it == dedup_.end()) return false;
+  const DedupEntry* entry = dedup_.find(message_id);
+  if (entry == nullptr) return false;
   ++repl_dedup_hits_;
-  *out = rpc::Reply::success(it->second.body);
+  *out = rpc::Reply::success(entry->body);
   return true;
 }
 
@@ -129,37 +129,20 @@ void BulletServer::dedup_record(std::uint64_t message_id, std::uint16_t opcode,
                                 std::uint64_t random) {
   if (message_id == 0) return;
   std::lock_guard lock(repl_mu_);
-  auto [it, inserted] = dedup_.try_emplace(message_id);
-  it->second = DedupEntry{opcode, std::move(body), object, random};
-  if (inserted) {
-    dedup_fifo_.push_back(message_id);
-    while (dedup_fifo_.size() > kDedupCap) {
-      dedup_.erase(dedup_fifo_.front());
-      dedup_fifo_.pop_front();
-    }
-  }
+  dedup_.put(message_id, DedupEntry{opcode, std::move(body), object, random});
 }
 
 void BulletServer::record_tombstone(std::uint32_t object,
                                     std::uint64_t random) {
   std::lock_guard lock(repl_mu_);
   if (repl_.role == ReplRole::kSolo) return;  // nothing to reconcile against
-  for (const auto& t : tombstones_) {
-    if (t.object == object && t.random == random) return;
-  }
-  if (tombstones_.size() >= kTombstoneCap) {
-    tombstones_.erase(tombstones_.begin());
-  }
-  tombstones_.push_back({object, random});
+  tombstones_.put({object, random}, {});
 }
 
 bool BulletServer::tombstoned(std::uint32_t object,
                               std::uint64_t random) const {
   std::lock_guard lock(repl_mu_);
-  for (const auto& t : tombstones_) {
-    if (t.object == object && t.random == random) return true;
-  }
-  return false;
+  return tombstones_.contains({object, random});
 }
 
 // --- local apply (peer-originated ops) -----------------------------------
@@ -265,7 +248,8 @@ wire::ReplManifest BulletServer::replica_manifest() const {
   }
   std::lock_guard lock(repl_mu_);
   m.role = static_cast<std::uint64_t>(repl_.role);
-  m.tombstones = tombstones_;
+  m.tombstones.reserve(tombstones_.size());
+  for (const auto& entry : tombstones_) m.tombstones.push_back(entry.first);
   for (const auto& [id, entry] : dedup_) {
     if (entry.opcode == wire::kCreate || entry.opcode == wire::kCreateFrom) {
       m.dedups.push_back({id, entry.object, entry.random});
@@ -449,25 +433,24 @@ Status BulletServer::resync_body(wire::ReplResyncReport& report) {
   // deleted — we cannot know which capability the client's ack carried,
   // and an unreferenced twin is storage garbage, not a correctness
   // violation — but it is counted for the operator.
+  // Every id is compared before any is merged, so a merge that evicts one
+  // of our records cannot hide a duplicate.
   {
-    std::map<std::uint64_t, std::pair<std::uint32_t, std::uint64_t>> my_dedups;
-    {
-      std::lock_guard lock(repl_mu_);
-      for (const auto& [id, entry] : dedup_) {
-        my_dedups[id] = {entry.object, entry.random};
-      }
-    }
+    std::lock_guard lock(repl_mu_);
+    std::vector<const wire::ReplManifest::DedupRecord*> missing;
     for (const auto& d : theirs.dedups) {
-      const auto it = my_dedups.find(d.message_id);
-      if (it == my_dedups.end()) {
-        Writer w(Capability::kWireSize);
-        mint(d.object, d.random).encode(w);
-        dedup_record(d.message_id, wire::kCreate, std::move(w).take(),
-                     d.object, d.random);
-      } else if (it->second.first != d.object ||
-                 it->second.second != d.random) {
+      const DedupEntry* entry = dedup_.find(d.message_id);
+      if (entry == nullptr) {
+        missing.push_back(&d);
+      } else if (entry->object != d.object || entry->random != d.random) {
         ++report.duplicates_reconciled;
       }
+    }
+    for (const auto* d : missing) {
+      Writer w(Capability::kWireSize);
+      mint(d->object, d->random).encode(w);
+      dedup_.put(d->message_id, DedupEntry{wire::kCreate, std::move(w).take(),
+                                           d->object, d->random});
     }
   }
 

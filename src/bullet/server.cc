@@ -128,10 +128,12 @@ BulletServer::BulletServer(MirroredDisk* disk, BulletConfig config,
     const AsyncDiskQueue::Stats qs = io_.stats();
     ReplRole role;
     bool peer_healthy;
+    std::uint64_t tombstones;
     {
       std::lock_guard repl_lock(repl_mu_);
       role = repl_.role;
       peer_healthy = repl_.peer_healthy;
+      tombstones = tombstones_.size();
     }
     e.value("bullet_creates_total", relaxed(creates_));
     e.value("bullet_reads_total", relaxed(reads_));
@@ -180,6 +182,7 @@ BulletServer::BulletServer(MirroredDisk* disk, BulletConfig config,
     e.value("bullet_repl_resyncs_total", relaxed(repl_resyncs_));
     e.value("bullet_repl_resync_files_total", relaxed(repl_resync_files_));
     e.value("bullet_repl_dedup_hits_total", relaxed(repl_dedup_hits_));
+    e.value("bullet_repl_tombstones", tombstones);
     e.value("bullet_shard_id", shard_id_);
     e.value("bullet_shard_epoch", placement_.epoch);
     e.value("bullet_wrong_shard_replies_total", relaxed(wrong_shard_replies_));

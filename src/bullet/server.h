@@ -30,7 +30,6 @@
 #include <atomic>
 #include <cassert>
 #include <condition_variable>
-#include <deque>
 #include <functional>
 #include <limits>
 #include <map>
@@ -48,6 +47,7 @@
 #include "bullet/wire.h"
 #include "cap/capability.h"
 #include "cluster/placement.h"
+#include "common/fifo_record.h"
 #include "common/rng.h"
 #include "crypto/oneway.h"
 #include "disk/async_queue.h"
@@ -243,7 +243,7 @@ class BulletServer final : public rpc::Service {
   // whichever replica answers and fail over freely. Mutations are
   // propagated to the peer before the ack (creates as kReplInstall at the
   // same slot with the same random, deletes as kReplErase plus a local
-  // tombstone); a propagation failure degrades the pair to solo mode until
+  // tombstone); a peer that does not answer degrades the pair to solo until
   // resync_with_peer() reconciles the two stores by manifest diff and
   // plain file copy. To keep independently accepted creates from fighting
   // over slots, the primary allocates inode slots from the bottom of the
@@ -666,13 +666,18 @@ class BulletServer final : public rpc::Service {
     std::uint64_t resync_total = 0;
     std::uint64_t resync_done = 0;
   };
-  static constexpr std::size_t kDedupCap = 8192;
-  static constexpr std::size_t kTombstoneCap = 65536;
+  struct TombstoneHash {
+    std::size_t operator()(const wire::ReplManifest::Tombstone& t) const {
+      return std::hash<std::uint64_t>{}(t.random ^
+                                        (std::uint64_t{t.object} << 48));
+    }
+  };
   mutable std::mutex repl_mu_;
   ReplState repl_;
-  std::vector<wire::ReplManifest::Tombstone> tombstones_;
-  std::map<std::uint64_t, DedupEntry> dedup_;
-  std::deque<std::uint64_t> dedup_fifo_;  // FIFO eviction at kDedupCap
+  // Every delete since the last resync, newest 65536 (the value is unused).
+  FifoRecord<wire::ReplManifest::Tombstone, bool, TombstoneHash> tombstones_{
+      65536};
+  FifoRecord<std::uint64_t, DedupEntry> dedup_{8192};
   // Replication counters surfaced via metrics_text().
   mutable std::atomic<std::uint64_t> repl_pushes_{0};
   mutable std::atomic<std::uint64_t> repl_push_failures_{0};

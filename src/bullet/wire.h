@@ -80,11 +80,12 @@ struct FileEdit {
 Result<Bytes> apply_edits(ByteSpan base, std::span<const FileEdit> edits);
 
 // Replication manifest (kReplicate/kReplManifest reply payload): every
-// live file's identity, the tombstones of deletes accepted while the peer
-// was unreachable, and the reply-dedup records of recent creates so a
-// resync can detect the same client operation applied independently on
-// both sides of a partition. Randoms ride in the clear — this opcode is
-// only reachable with the pair's shared admin capability.
+// live file's identity, the tombstone of every delete since the sender's
+// last resync (newest 65536, in delete order), and the reply-dedup records
+// of recent creates, oldest first, so a resync can detect the same client
+// operation applied independently on both sides of a partition. Randoms
+// ride in the clear — this opcode is only reachable with the pair's shared
+// admin capability.
 struct ReplManifest {
   struct File {
     std::uint32_t object = 0;
@@ -94,6 +95,7 @@ struct ReplManifest {
   struct Tombstone {
     std::uint32_t object = 0;
     std::uint64_t random = 0;
+    friend bool operator==(const Tombstone&, const Tombstone&) = default;
   };
   struct DedupRecord {
     std::uint64_t message_id = 0;

@@ -15,13 +15,13 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <string>
 
 #include "bullet/client.h"
 #include "cap/capability.h"
+#include "common/fifo_record.h"
 #include "common/rng.h"
 #include "crypto/oneway.h"
 #include "dir/wire.h"
@@ -141,9 +141,7 @@ class DirServer final : public rpc::Service {
   // retransmit that arrives after the reply reaches handle() again; this
   // record answers it instead of a second CREATE-DIR, or an ENTER that
   // would now fail with already_exists.
-  static constexpr std::size_t kRecordedReplies = 1024;
-  std::map<std::uint64_t, Bytes> replies_;
-  std::deque<std::uint64_t> reply_order_;
+  FifoRecord<std::uint64_t, Bytes> replies_{1024};
   std::uint64_t record_hits_ = 0;
 
   // Cluster placement map: version, contents, and the Bullet file holding

@@ -41,20 +41,14 @@ rpc::Reply DirServer::handle(const rpc::Request& request) {
   if (request.message_id == 0 || !recorded(request.opcode)) {
     return dispatch(request);
   }
-  if (const auto it = replies_.find(request.message_id);
-      it != replies_.end()) {
+  if (const Bytes* body = replies_.find(request.message_id)) {
     ++record_hits_;
-    return rpc::Reply::success(it->second);
+    return rpc::Reply::success(*body);
   }
   rpc::Reply reply = dispatch(request);
   // A failed mutation changed nothing, so only a success needs recording.
   if (reply.status == ErrorCode::ok) {
-    replies_.emplace(request.message_id, reply.body);
-    reply_order_.push_back(request.message_id);
-    if (reply_order_.size() > kRecordedReplies) {
-      replies_.erase(reply_order_.front());
-      reply_order_.pop_front();
-    }
+    replies_.put(request.message_id, reply.body);
   }
   return reply;
 }

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -13,6 +14,8 @@
 
 #include "bullet/client.h"
 #include "bullet/server.h"
+#include "common/fifo_record.h"
+#include "common/rng.h"
 #include "rpc/failover_transport.h"
 #include "rpc/fault_transport.h"
 #include "rpc/udp_transport.h"
@@ -365,6 +368,85 @@ TEST(ReplicationTest, TombstoneWinsOverStaleCopyOnResync) {
   EXPECT_EQ(0u, pair.b().live_files());
   EXPECT_CODE(no_such_object, status_of(pair.b().read(cap.value())));
   EXPECT_TRUE(pair.a().repl_status().peer_healthy);
+}
+
+// Every delete a paired server applies, its own or the peer's, stays
+// tombstoned until a resync: the manifest lists them in delete order on
+// both sides, and a late install of a deleted file answers with its
+// capability instead of bringing the file back.
+TEST(ReplicationTest, ThousandsOfDeletesStayTombstonedInOrderUntilResync) {
+  PairHarness pair;
+  pair.attach();
+  BulletClient client = pair.failover_client(0x780);
+  Rng rng(0x781);
+
+  constexpr int kRounds = 30;
+  constexpr int kBatch = 100;
+  std::vector<wire::ReplManifest::Tombstone> deleted;
+  std::optional<Capability> first;
+  for (int round = 0; round < kRounds; ++round) {
+    std::vector<Capability> caps;
+    for (int i = 0; i < kBatch; ++i) {
+      auto cap = client.create(payload(64, round * kBatch + i), 1);
+      ASSERT_OK(status_of(cap));
+      caps.push_back(cap.value());
+    }
+    std::map<std::uint32_t, std::uint64_t> random_of;
+    for (const auto& f : pair.a().replica_manifest().files) {
+      random_of[f.object] = f.random;
+    }
+    // Freed slots are reused by the next round, so tombstones of different
+    // incarnations share an object number.
+    for (std::size_t i = caps.size(); i > 1; --i) {
+      std::swap(caps[i - 1], caps[rng.next_below(i)]);
+    }
+    for (const Capability& cap : caps) {
+      ASSERT_OK(client.erase(cap));
+      deleted.push_back({cap.object, random_of.at(cap.object)});
+      if (!first) first = cap;
+    }
+  }
+  ASSERT_EQ(0u, pair.a().live_files());
+  ASSERT_EQ(0u, pair.b().live_files());
+
+  for (BulletServer* server : {&pair.a(), &pair.b()}) {
+    const auto tombstones = server->replica_manifest().tombstones;
+    ASSERT_EQ(deleted.size(), tombstones.size());
+    for (std::size_t i = 0; i < deleted.size(); ++i) {
+      ASSERT_EQ(deleted[i], tombstones[i]) << "delete #" << i;
+    }
+    EXPECT_EQ(deleted.size(),
+              testing::metric(*server, "bullet_repl_tombstones"));
+
+    // A REPL-INSTALL of the first deleted file arrives late.
+    rpc::Request request;
+    request.target = server->super_capability();
+    request.opcode = wire::kReplicate;
+    Writer w;
+    w.u8(wire::kReplInstall);
+    w.u32(deleted[0].object);
+    w.u64(deleted[0].random);
+    w.u64(0);
+    w.u8(1);
+    w.blob(payload(64, 0));
+    request.body = std::move(w).take();
+    const rpc::Reply reply = server->handle(request);
+    ASSERT_EQ(ErrorCode::ok, reply.status);
+    Reader r{ByteSpan(reply.body)};
+    auto cap = Capability::decode(r);
+    ASSERT_OK(status_of(cap));
+    EXPECT_EQ(*first, cap.value());
+    EXPECT_EQ(0u, server->live_files());
+    EXPECT_CODE(no_such_object, status_of(server->read(*first)));
+  }
+
+  auto report = pair.a().resync_with_peer();
+  ASSERT_OK(status_of(report));
+  EXPECT_EQ(0u, report.value().erases_applied);
+  for (BulletServer* server : {&pair.a(), &pair.b()}) {
+    EXPECT_TRUE(server->replica_manifest().tombstones.empty());
+    EXPECT_EQ(0u, testing::metric(*server, "bullet_repl_tombstones"));
+  }
 }
 
 TEST(ReplicationTest, DuplicateCreateFromBothSidesKeepsBothCopies) {
@@ -859,6 +941,84 @@ TEST(FailoverTransportTest, GivesUpAfterMaxCyclesWhenAllDead) {
   const Status st = status_of(failover.call(request));
   EXPECT_CODE(all_replicas_unreachable, st);
   EXPECT_NE(std::string::npos, st.error().message.find("2 replica(s)"));
+}
+
+
+// --- the bounded FIFO record --------------------------------------------
+
+using Record = FifoRecord<int, std::string>;
+
+std::vector<int> keys_of(const Record& record) {
+  std::vector<int> keys;
+  for (const auto& [key, value] : record) keys.push_back(key);
+  return keys;
+}
+
+TEST(FifoRecordTest, EvictsInInsertionOrder) {
+  Record record(3);
+  for (int key = 1; key <= 5; ++key) {
+    EXPECT_TRUE(record.put(key, std::to_string(key)));
+  }
+  EXPECT_EQ(3u, record.size());
+  EXPECT_EQ((std::vector<int>{3, 4, 5}), keys_of(record));
+  // Lookups miss once their key is evicted.
+  EXPECT_EQ(nullptr, record.find(1));
+  EXPECT_FALSE(record.contains(2));
+  ASSERT_NE(nullptr, record.find(3));
+  EXPECT_EQ("3", *record.find(3));
+}
+
+TEST(FifoRecordTest, OverwriteKeepsItsPlaceAndSize) {
+  Record record(3);
+  record.put(1, "a");
+  record.put(2, "b");
+  record.put(3, "c");
+  EXPECT_FALSE(record.put(1, "A"));  // the oldest, overwritten
+  EXPECT_EQ(3u, record.size());
+  EXPECT_EQ((std::vector<int>{1, 2, 3}), keys_of(record));
+  EXPECT_EQ("A", *record.find(1));
+  // The overwrite did not make 1 young: the next new key still evicts it.
+  EXPECT_TRUE(record.put(4, "d"));
+  EXPECT_EQ((std::vector<int>{2, 3, 4}), keys_of(record));
+  EXPECT_EQ(nullptr, record.find(1));
+  EXPECT_FALSE(record.put(3, "C"));  // a middle entry
+  EXPECT_EQ((std::vector<int>{2, 3, 4}), keys_of(record));
+  EXPECT_EQ("C", *record.find(3));
+  EXPECT_EQ("d", *record.find(4));
+}
+
+TEST(FifoRecordTest, ClearEmptiesAndTheRecordFillsAgain) {
+  Record record(2);
+  record.put(1, "a");
+  record.put(2, "b");
+  record.put(3, "c");
+  record.clear();
+  EXPECT_EQ(0u, record.size());
+  EXPECT_TRUE(keys_of(record).empty());
+  EXPECT_EQ(nullptr, record.find(3));
+  // After a clear the record takes keys it held before, in the new order,
+  // and evicts from the new front.
+  EXPECT_TRUE(record.put(3, "x"));
+  EXPECT_TRUE(record.put(1, "y"));
+  EXPECT_TRUE(record.put(5, "z"));
+  EXPECT_EQ((std::vector<int>{1, 5}), keys_of(record));
+  EXPECT_EQ("y", *record.find(1));
+  EXPECT_EQ("z", *record.find(5));
+}
+
+TEST(FifoRecordTest, IteratesInInsertionOrderThroughManyEvictions) {
+  Record record(16);
+  Rng rng(0xF1F0);
+  std::vector<int> order;
+  for (int i = 0; i < 1000; ++i) {
+    const int key = static_cast<int>(rng.next_below(64));
+    const bool known =
+        std::find(order.begin(), order.end(), key) != order.end();
+    EXPECT_EQ(!known, record.put(key, std::to_string(i)));
+    if (!known) order.push_back(key);
+    if (order.size() > 16) order.erase(order.begin());
+    ASSERT_EQ(order, keys_of(record)) << "after put #" << i;
+  }
 }
 
 }  // namespace
